@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/runtime/runtime.h"
 
 namespace ansmet::anns {
@@ -50,7 +50,7 @@ double
 recallAtK(const std::vector<VectorId> &result,
           const std::vector<Neighbor> &ground_truth, std::size_t k)
 {
-    ANSMET_ASSERT(!ground_truth.empty());
+    ANSMET_CHECK(!ground_truth.empty());
     const std::size_t kk = std::min(k, ground_truth.size());
     std::size_t hits = 0;
     for (std::size_t i = 0; i < kk; ++i) {
@@ -69,7 +69,7 @@ double
 meanRecall(const std::vector<std::vector<VectorId>> &results,
            const std::vector<std::vector<Neighbor>> &gt, std::size_t k)
 {
-    ANSMET_ASSERT(results.size() == gt.size());
+    ANSMET_CHECK(results.size() == gt.size());
     double acc = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i)
         acc += recallAtK(results[i], gt[i], k);

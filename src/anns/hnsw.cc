@@ -6,7 +6,7 @@
 #include <limits>
 #include <ostream>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/runtime/runtime.h"
 #include "obs/metrics.h"
 
@@ -107,7 +107,7 @@ HnswIndex::HnswIndex(const VectorSet &vs, Metric m, HnswParams params)
       nodes_(vs.size()),
       scratch_(std::make_unique<ScratchPool>(vs.size()))
 {
-    ANSMET_ASSERT(vs.size() > 0, "empty vector set");
+    ANSMET_CHECK(vs.size() > 0, "empty vector set");
     const std::vector<unsigned> levels = drawLevels();
     if (params_.build == HnswParams::Build::kLocked)
         buildLocked(levels);
@@ -149,7 +149,7 @@ HnswIndex::drawLevels() const
 const std::vector<VectorId> &
 HnswIndex::neighbors(VectorId v, unsigned level) const
 {
-    ANSMET_ASSERT(v < nodes_.size() && level < nodes_[v].links.size());
+    ANSMET_CHECK(v < nodes_.size() && level < nodes_[v].links.size());
     return nodes_[v].links[level];
 }
 
@@ -559,10 +559,10 @@ HnswIndex::load(std::istream &is, const VectorSet &vs, Metric m,
                 HnswParams params)
 {
     HnswIndex idx(LoadTag{}, vs, m, params);
-    ANSMET_ASSERT(readPod<std::uint32_t>(is) == kGraphMagic,
-                  "bad HNSW graph file");
+    ANSMET_CHECK(readPod<std::uint32_t>(is) == kGraphMagic,
+                 "bad HNSW graph file");
     const auto n = readPod<std::uint64_t>(is);
-    ANSMET_ASSERT(n == vs.size(), "graph/vector-set size mismatch");
+    ANSMET_CHECK(n == vs.size(), "graph/vector-set size mismatch");
     idx.entry_ = readPod<VectorId>(is);
     idx.max_level_ = readPod<unsigned>(is);
     for (auto &node : idx.nodes_) {
@@ -575,7 +575,7 @@ HnswIndex::load(std::istream &is, const VectorSet &vs, Metric m,
                     static_cast<std::streamsize>(deg * sizeof(VectorId)));
         }
     }
-    ANSMET_ASSERT(is.good(), "truncated HNSW graph file");
+    ANSMET_CHECK(is.good(), "truncated HNSW graph file");
     return idx;
 }
 
@@ -587,7 +587,7 @@ std::vector<VectorId>
 HnswIndex::search(const float *query, std::size_t k, std::size_t ef,
                   SearchObserver &obs) const
 {
-    ANSMET_ASSERT(ef >= k, "efSearch must be >= k");
+    ANSMET_CHECK(ef >= k, "efSearch must be >= k");
 
     ScratchLease vis(*scratch_);
     Neighbor ep{dist(query, entry_), entry_};

@@ -4,14 +4,14 @@
 #include <cmath>
 #include <limits>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace ansmet::anns {
 
 IvfIndex::IvfIndex(const VectorSet &vs, Metric m, IvfParams params)
     : vs_(vs), metric_(m)
 {
-    ANSMET_ASSERT(vs.size() > 0, "empty vector set");
+    ANSMET_CHECK(vs.size() > 0, "empty vector set");
     if (params.numClusters == 0) {
         params.numClusters = static_cast<unsigned>(
             std::ceil(std::sqrt(static_cast<double>(vs.size()))));

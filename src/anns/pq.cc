@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace ansmet::anns {
 
@@ -22,11 +22,11 @@ boundExceedsPq(double bound, double threshold)
 PqIndex::PqIndex(const VectorSet &vs, Metric metric, PqParams params)
     : params_(params), metric_(metric), dims_(vs.dims()), n_(vs.size())
 {
-    ANSMET_ASSERT(params.subspaces > 0 &&
-                      vs.dims() % params.subspaces == 0,
-                  "subspaces must divide dims");
-    ANSMET_ASSERT(params.codebookSize >= 2 &&
-                  params.codebookSize <= 256);
+    ANSMET_CHECK(params.subspaces > 0 &&
+                     vs.dims() % params.subspaces == 0,
+                 "subspaces must divide dims");
+    ANSMET_CHECK(params.codebookSize >= 2 &&
+                 params.codebookSize <= 256);
     sub_dims_ = dims_ / params_.subspaces;
     codebooks_.resize(static_cast<std::size_t>(params_.subspaces) *
                       params_.codebookSize * sub_dims_);

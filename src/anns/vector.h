@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "anns/scalar.h"
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/types.h"
 
 namespace ansmet::anns {
@@ -27,7 +27,7 @@ class VectorSet
         : n_(n), dims_(dims), type_(type),
           data_(n * dims * scalarBytes(type), 0)
     {
-        ANSMET_ASSERT(dims > 0);
+        ANSMET_CHECK(dims > 0);
     }
 
     std::size_t size() const { return n_; }

@@ -1,6 +1,7 @@
 #include "cache/cache.h"
 
 #include "common/bitops.h"
+#include "common/check.h"
 
 namespace ansmet::cache {
 
@@ -8,11 +9,11 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
                        unsigned line_bytes)
     : line_shift_(log2Exact(line_bytes)), assoc_(assoc)
 {
-    ANSMET_ASSERT(isPow2(line_bytes));
+    ANSMET_CHECK(isPow2(line_bytes));
     const std::uint64_t lines = size_bytes / line_bytes;
-    ANSMET_ASSERT(lines % assoc == 0, "capacity not divisible by assoc");
+    ANSMET_CHECK(lines % assoc == 0, "capacity not divisible by assoc");
     const std::uint64_t num_sets = lines / assoc;
-    ANSMET_ASSERT(isPow2(num_sets), "set count must be a power of two");
+    ANSMET_CHECK(isPow2(num_sets), "set count must be a power of two");
     sets_.resize(num_sets);
     for (auto &s : sets_)
         s.ways.resize(assoc);
@@ -83,29 +84,21 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &p)
     : p_(p),
       l1_(p.l1Bytes, p.l1Assoc),
       l2_(p.l2Bytes, p.l2Assoc),
-      llc_(p.llcBytes, p.llcAssoc),
-      stats_("cache")
+      llc_(p.llcBytes, p.llcAssoc)
 {
 }
 
 CacheHierarchy::Level
 CacheHierarchy::access(Addr addr)
 {
-    if (l1_.accessAndFill(addr)) {
-        ++stats_.counter("l1_hits");
+    if (l1_.accessAndFill(addr))
         return Level::kL1;
-    }
     // The L1 miss above already installed the line there (fill on the
     // way back); the same holds for L2/LLC below.
-    if (l2_.accessAndFill(addr)) {
-        ++stats_.counter("l2_hits");
+    if (l2_.accessAndFill(addr))
         return Level::kL2;
-    }
-    if (llc_.accessAndFill(addr)) {
-        ++stats_.counter("llc_hits");
+    if (llc_.accessAndFill(addr))
         return Level::kLlc;
-    }
-    ++stats_.counter("misses");
     return Level::kMemory;
 }
 

@@ -12,8 +12,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/logging.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace ansmet::cache {
@@ -108,14 +106,11 @@ class CacheHierarchy
 
     void flush();
 
-    StatGroup &stats() { return stats_; }
-
   private:
     HierarchyParams p_;
     CacheArray l1_;
     CacheArray l2_;
     CacheArray llc_;
-    StatGroup stats_;
 };
 
 } // namespace ansmet::cache

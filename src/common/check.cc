@@ -12,7 +12,7 @@ bool
 auditInit()
 {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // queried once under the static-init guard; nothing mutates the env.
+    // read once during static initialization; nothing mutates the env.
     if (const char *env = std::getenv("ANSMET_AUDIT"))
         return env[0] != '\0' && env[0] != '0';
 #if defined(ANSMET_AUDIT_DEFAULT_ON) || !defined(NDEBUG)
@@ -24,19 +24,14 @@ auditInit()
 
 } // namespace
 
-bool &
-auditFlag()
-{
-    static bool flag = auditInit();
-    return flag;
-}
+bool auditOn = auditInit();
 
 } // namespace check_detail
 
 void
 setAuditEnabled(bool on)
 {
-    check_detail::auditFlag() = on;
+    check_detail::auditOn = on;
 }
 
 } // namespace ansmet

@@ -29,8 +29,9 @@ namespace ansmet {
 
 namespace check_detail {
 
-/** Cached audit flag; initialized once from ANSMET_AUDIT / build type. */
-bool &auditFlag();
+/** The audit flag, set from ANSMET_AUDIT / the build default during
+ *  static initialization (check.cc). */
+extern bool auditOn;
 
 } // namespace check_detail
 
@@ -38,7 +39,7 @@ bool &auditFlag();
 inline bool
 auditEnabled()
 {
-    return check_detail::auditFlag();
+    return check_detail::auditOn;
 }
 
 /** Force the audit mode, overriding environment and build default. */

@@ -53,16 +53,6 @@ void informImpl(const std::string &msg);
 #define ANSMET_INFORM(...) \
     ::ansmet::detail::informImpl(::ansmet::detail::concat(__VA_ARGS__))
 
-/** panic() if @p cond does not hold. Cheap enough to keep in release. */
-#define ANSMET_ASSERT(cond, ...) \
-    do { \
-        if (!(cond)) { \
-            ::ansmet::detail::panicImpl(__FILE__, __LINE__, \
-                ::ansmet::detail::concat("assertion failed: " #cond " ", \
-                                         ##__VA_ARGS__)); \
-        } \
-    } while (0)
-
 } // namespace ansmet
 
 #endif // ANSMET_COMMON_LOGGING_H

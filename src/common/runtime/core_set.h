@@ -14,8 +14,7 @@
  *
  * Lane 0 is always the *caller's* lane: a CoreSet of size n yields
  * n - 1 worker threads (on cores_[1..n-1]) plus the submitting thread,
- * mirroring the historical ThreadPool sizing where ANSMET_THREADS
- * counts total execution lanes including the caller.
+ * so ANSMET_THREADS counts total execution lanes including the caller.
  */
 
 #ifndef ANSMET_COMMON_RUNTIME_CORE_SET_H
@@ -58,8 +57,7 @@ class CoreSet
 
     /**
      * ANSMET_THREADS if set (clamped to >= 1), else hardware
-     * concurrency. This is the historical ThreadPool sizing knob and
-     * still governs the unpinned fallback.
+     * concurrency. It sizes the unpinned fallback.
      */
     static unsigned configuredLanes();
 

@@ -74,9 +74,9 @@ class MpscChannel
     std::size_t capacity() const { return mask_ + 1; }
 
     /** Multi-producer push; false iff the ring is full. The result
-     *  must be checked (lint R11): on false the value was NOT
-     *  enqueued (it is left intact in @p value for a retry), so a
-     *  dropped result is a silently lost task. */
+     *  must be checked: on false the value was NOT enqueued (it is
+     *  left intact in @p value for a retry), so a dropped result is a
+     *  silently lost task. */
     [[nodiscard]] bool
     tryPush(T &&value)
     {

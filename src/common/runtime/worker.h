@@ -5,9 +5,8 @@
  * The worker loop is strictly local-first: drain the own channel, then
  * steal in victim order (topological neighbours first), then
  * spin-then-park on the runtime's eventcount. Workers are the only
- * place in the tree (besides the ThreadPool adapter) allowed to own a
- * raw std::thread — lint rule R4 routes everyone else through the
- * runtime.
+ * place in the tree allowed to own a raw std::thread — lint rule R4
+ * routes everyone else through the runtime.
  */
 
 #ifndef ANSMET_COMMON_RUNTIME_WORKER_H

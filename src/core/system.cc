@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/runtime/runtime.h"
 #include "ndp/instr.h"
 #include "obs/metrics.h"
@@ -78,7 +78,7 @@ class SystemModel::QueryContext
     void
     begin(std::size_t trace_idx, QueryDone done)
     {
-        ANSMET_ASSERT(idle_, "slot already has a query in flight");
+        ANSMET_CHECK(idle_, "slot already has a query in flight");
         idle_ = false;
         done_ = std::move(done);
         qidx_ = trace_idx;
@@ -124,8 +124,8 @@ class SystemModel::QueryContext
     {
         if (!sys_.prefetch_.empty()) {
             const auto &pre = sys_.prefetch_[qidx_];
-            ANSMET_ASSERT(fetch_cursor_ < pre.size(),
-                          "replay consumed more fetches than precomputed");
+            ANSMET_CHECK(fetch_cursor_ < pre.size(),
+                         "replay consumed more fetches than precomputed");
             const SystemModel::PreFetch &p = pre[fetch_cursor_++];
             et::FetchResult fr;
             fr.lines = p.lines;
@@ -327,13 +327,13 @@ class SystemModel::QueryContext
                 });
             ++issued_units;
         }
-        ANSMET_ASSERT(issued_units > 0);
+        ANSMET_CHECK(issued_units > 0);
     }
 
     void
     writeDone()
     {
-        ANSMET_ASSERT(pending_writes_ > 0);
+        ANSMET_CHECK(pending_writes_ > 0);
         if (--pending_writes_ != 0)
             return;
         offload_done_ = sys_.eq_.now();
@@ -350,7 +350,7 @@ class SystemModel::QueryContext
     void
     ndpTaskDone(unsigned unit, Tick when)
     {
-        ANSMET_ASSERT(pending_sub_ > 0);
+        ANSMET_CHECK(pending_sub_ > 0);
         --unit_pending_[unit];
         if (--pending_sub_ == 0 && all_tasks_submitted_)
             tasksFinished(when);
@@ -399,7 +399,7 @@ class SystemModel::QueryContext
             if (!results_fetched_[unit])
                 poll_targets_.push_back(unit);
         }
-        ANSMET_ASSERT(!poll_targets_.empty());
+        ANSMET_CHECK(!poll_targets_.empty());
         poll_inflight_ = static_cast<unsigned>(poll_targets_.size());
         stats_.polls += poll_inflight_;
         replayMetrics().polls.add(poll_inflight_);
@@ -703,8 +703,8 @@ SystemModel::placeOf(VectorId v, unsigned group) const
         return home_place_[v];
     const auto it =
         replica_place_.find((static_cast<std::uint64_t>(v) << 8) | group);
-    ANSMET_ASSERT(it != replica_place_.end(),
-                  "no replica of vector in requested group");
+    ANSMET_CHECK(it != replica_place_.end(),
+                 "no replica of vector in requested group");
     return it->second;
 }
 
@@ -754,8 +754,8 @@ void
 SystemModel::beginSession(const std::vector<QueryTrace> &traces,
                           unsigned slots)
 {
-    ANSMET_ASSERT(!ran_, "SystemModel session is single-use");
-    ANSMET_ASSERT(slots > 0, "session needs at least one slot");
+    ANSMET_CHECK(!ran_, "SystemModel session is single-use");
+    ANSMET_CHECK(slots > 0, "session needs at least one slot");
     ran_ = true;
     // A figure binary replays many designs from tick 0 each; a fresh
     // pid per run keeps their timelines from overlapping in the trace.
@@ -774,28 +774,28 @@ SystemModel::beginSession(const std::vector<QueryTrace> &traces,
 bool
 SystemModel::slotIdle(unsigned slot) const
 {
-    ANSMET_ASSERT(slot < contexts_.size(), "slot out of range");
+    ANSMET_CHECK(slot < contexts_.size(), "slot out of range");
     return contexts_[slot]->idle();
 }
 
 void
 SystemModel::submit(unsigned slot, std::size_t traceIdx, QueryDone done)
 {
-    ANSMET_ASSERT(run_stats_ != nullptr, "no open session");
-    ANSMET_ASSERT(slot < contexts_.size(), "slot out of range");
-    ANSMET_ASSERT(traceIdx < traces_->size(), "trace index out of range");
+    ANSMET_CHECK(run_stats_ != nullptr, "no open session");
+    ANSMET_CHECK(slot < contexts_.size(), "slot out of range");
+    ANSMET_CHECK(traceIdx < traces_->size(), "trace index out of range");
     contexts_[slot]->begin(traceIdx, std::move(done));
 }
 
 RunStats
 SystemModel::endSession()
 {
-    ANSMET_ASSERT(run_stats_ != nullptr, "no open session");
-    ANSMET_ASSERT(eq_.pending() == 0,
-                  "endSession with simulation events still pending");
+    ANSMET_CHECK(run_stats_ != nullptr, "no open session");
+    ANSMET_CHECK(eq_.pending() == 0,
+                 "endSession with simulation events still pending");
     for (unsigned s = 0; s < contexts_.size(); ++s)
-        ANSMET_ASSERT(contexts_[s]->idle(),
-                      "endSession with a query still in flight");
+        ANSMET_CHECK(contexts_[s]->idle(),
+                     "endSession with a query still in flight");
 
     RunStats rs = std::move(session_stats_);
     session_stats_ = RunStats{};
@@ -860,17 +860,10 @@ SystemModel::collectEnergy(const RunStats &rs) const
     // designs). I/O is charged for every channel transfer.
     for (unsigned c = 0; c < hostCpu_->numChannels(); ++c) {
         const auto &ctrl = hostCpu_->channel(c);
-        std::uint64_t transfers = 0;
-        for (const auto &[name, counter] : ctrl.stats().counters()) {
-            if (name == "reads" || name == "writes" ||
-                name == "bus_reads" || name == "bus_writes") {
-                transfers += counter.value();
-            }
-        }
         for (unsigned r = 0; r < ctrl.numRanks(); ++r) {
             total += dram::rankEnergy(ctrl.rankDevice(r), cfg_.energy,
                                       elapsed,
-                                      r == 0 ? transfers : 0);
+                                      r == 0 ? ctrl.transfers() : 0);
         }
     }
 

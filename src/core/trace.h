@@ -18,6 +18,7 @@
 #include "anns/hnsw.h"
 #include "anns/ivf.h"
 #include "anns/observer.h"
+#include "common/check.h"
 
 namespace ansmet::core {
 
@@ -84,7 +85,7 @@ class TraceBuilder : public anns::SearchObserver
     onCompare(VectorId v, double threshold, double dist,
               bool accepted) override
     {
-        ANSMET_ASSERT(!out_.steps.empty());
+        ANSMET_CHECK(!out_.steps.empty());
         out_.steps.back().tasks.push_back(
             CompareTask{v, threshold, dist, accepted});
     }

@@ -1,6 +1,6 @@
 #include "cpu/host.h"
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "obs/metrics.h"
 
 namespace ansmet::cpu {
@@ -80,7 +80,7 @@ void
 HostCpu::lineDone(std::uint32_t op)
 {
     ReadOp &r = read_pool_[op];
-    ANSMET_ASSERT(r.remaining > 0);
+    ANSMET_CHECK(r.remaining > 0);
     if (--r.remaining != 0)
         return;
     Callback done = std::move(r.done);
@@ -91,7 +91,7 @@ HostCpu::lineDone(std::uint32_t op)
 void
 HostCpu::read(Addr addr, unsigned lines, Callback done)
 {
-    ANSMET_ASSERT(lines >= 1);
+    ANSMET_CHECK(lines >= 1);
     // Issue all lines; complete when the slowest returns. Cache hits
     // add their hit latency; misses traverse to DRAM. The join state
     // lives in a pooled ReadOp; events carry only its index.

@@ -43,7 +43,7 @@ MemController::MemController(sim::EventQueue &eq, const TimingParams &tp,
                              std::string name)
     : eq_(eq), tp_(tp), org_(org),
       starvation_limit_(tp.cycles(2000)),
-      stats_(std::move(name))
+      bankq_track_(std::move(name) + ".bankq")
 {
     ANSMET_CHECK(num_ranks >= 1, "controller needs at least one rank");
     for (unsigned r = 0; r < num_ranks; ++r)
@@ -68,15 +68,14 @@ MemController::enqueue(unsigned rank, Request req)
     p.req = std::move(req);
     p.order = next_order_++;
     queue_.push_back(idx);
-    ++stats_.counter(p.req.isWrite ? "writes" : "reads");
+    ++transfers_;
     DramMetrics &m = dramMetrics();
     (p.req.isWrite ? m.writes : m.reads).inc();
     m.queueDepth.sample(queue_.size());
     if (obs_enq_++ % kQueueSampleStride == 0) {
         auto &tw = obs::TraceWriter::instance();
         if (tw.enabled()) {
-            tw.counter(stats_.name() + ".bankq", obs::dramLaneTid(0),
-                       eq_.now(),
+            tw.counter(bankq_track_, obs::dramLaneTid(0), eq_.now(),
                        static_cast<std::int64_t>(queue_.size()));
         }
     }
@@ -116,14 +115,12 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
     switch (c.cmd) {
       case Command::kAct:
         dev.issueAct(p.req.addr, t);
-        ++stats_.counter("acts");
         dramMetrics().rowActivates.inc();
         break;
       case Command::kPre:
         // A precharge on this path always means an open-row conflict
         // (closed banks go straight to kAct).
         dev.issuePre(p.req.addr, t);
-        ++stats_.counter("pres");
         dramMetrics().rowConflicts.inc();
         break;
       case Command::kRd:
@@ -134,8 +131,6 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
                      "data bus overlap at ", data_start);
         data_bus_free_at_ = data_end;
         data_bus_busy_ += tp_.cycles(tp_.tBL);
-        stats_.scalar("queue_latency")
-            .sample(static_cast<double>((t - p.req.arrival).raw()));
         dramMetrics().queueLatency.sample((t - p.req.arrival).raw());
         scheduleCompletion(data_end, std::move(p.req.onComplete));
         break;
@@ -149,7 +144,7 @@ void
 MemController::enqueueBusTransfer(bool is_write, Request::Callback cb)
 {
     bus_queue_.push_back(BusTransfer{is_write, eq_.now(), std::move(cb)});
-    ++stats_.counter(is_write ? "bus_writes" : "bus_reads");
+    ++transfers_;
     dramMetrics().busTransfers.inc();
     scheduleKick(eq_.now());
 }

@@ -15,10 +15,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/ring_deque.h"
-#include "common/stats.h"
 #include "dram/device.h"
 #include "dram/params.h"
 #include "dram/types.h"
@@ -52,11 +52,12 @@ class MemController
     const RankDevice &rankDevice(unsigned r) const { return *ranks_[r]; }
     unsigned numRanks() const { return static_cast<unsigned>(ranks_.size()); }
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
-
     /** Ticks during which the data bus carried a burst (utilization). */
     TickDelta dataBusBusy() const { return data_bus_busy_; }
+
+    /** 64 B transfers enqueued so far: bank reads and writes plus
+     *  buffer-chip transfers (what channel I/O energy is charged for). */
+    std::uint64_t transfers() const { return transfers_; }
 
   private:
     struct Pending
@@ -115,6 +116,7 @@ class MemController
     Tick cmd_bus_free_at_{};
     Tick data_bus_free_at_{};
     TickDelta data_bus_busy_{};
+    std::uint64_t transfers_ = 0;
 
     /**
      * Earliest pending kick and its generation. Superseded kick events
@@ -127,9 +129,9 @@ class MemController
     /** Age (ticks) past which the oldest request preempts row hits. */
     TickDelta starvation_limit_;
 
-    StatGroup stats_;
-
-    /** Enqueue count for stride-sampling the obs queue-depth track. */
+    /** Trace counter track name ("<name>.bankq") and the enqueue count
+     *  for stride-sampling it. */
+    std::string bankq_track_;
     std::uint64_t obs_enq_ = 0;
 };
 

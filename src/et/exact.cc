@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace ansmet::et {
 
@@ -39,8 +39,8 @@ kmeansAssignEt(const anns::VectorSet &vs, anns::Metric metric,
                const std::vector<float> &centroids, unsigned k,
                ExactScanStats *stats)
 {
-    ANSMET_ASSERT(k > 0 && centroids.size() ==
-                               static_cast<std::size_t>(k) * vs.dims());
+    ANSMET_CHECK(k > 0 && centroids.size() ==
+                              static_cast<std::size_t>(k) * vs.dims());
     const FetchSimulator sim(vs, metric, EtScheme::kHeuristic, nullptr);
     const unsigned full = sim.fullLines();
 

@@ -111,12 +111,12 @@ planFor(EtScheme s, ScalarType t, unsigned dims, const EtProfile *prof)
       case EtScheme::kHeuristic:
         return FetchPlanSpec::heuristic(t, dims);
       case EtScheme::kDual: {
-        ANSMET_ASSERT(prof, "kDual needs a profile");
+        ANSMET_CHECK(prof, "kDual needs a profile");
         const DualParams &dp = prof->dualNoPrefix;
         return FetchPlanSpec::dual(t, dims, 0, dp.nc, dp.tc, dp.nf);
       }
       case EtScheme::kOpt: {
-        ANSMET_ASSERT(prof, "kOpt needs a profile");
+        ANSMET_CHECK(prof, "kOpt needs a profile");
         const DualParams &dp = prof->dualWithPrefix;
         // The OlElm bitmap is only needed when a prefix is eliminated
         // (no prefix -> no outliers to flag).
@@ -138,7 +138,7 @@ FetchSimulator::FetchSimulator(const anns::VectorSet &vs,
       global_range_{-std::numeric_limits<double>::max() / 4,
                     std::numeric_limits<double>::max() / 4}
 {
-    ANSMET_ASSERT(plan_.valid());
+    ANSMET_CHECK(plan_.valid());
     if (profile)
         global_range_ = profile->globalRange;
     if (scheme == EtScheme::kOpt) {

@@ -6,8 +6,8 @@ std::vector<std::uint8_t>
 transformVector(const FetchPlanSpec &spec, const anns::VectorSet &vs,
                 VectorId v)
 {
-    ANSMET_ASSERT(spec.valid(), "invalid fetch plan");
-    ANSMET_ASSERT(spec.dims == vs.dims() && spec.type == vs.type());
+    ANSMET_CHECK(spec.valid(), "invalid fetch plan");
+    ANSMET_CHECK(spec.dims == vs.dims() && spec.type == vs.type());
 
     std::vector<std::uint8_t> out;
     BitWriter writer(out);

@@ -25,7 +25,7 @@
 
 #include "anns/vector.h"
 #include "common/bitops.h"
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/types.h"
 #include "et/sortable.h"
 
@@ -76,7 +76,7 @@ struct FetchPlanSpec
     dual(ScalarType t, unsigned dims, unsigned prefix_len, unsigned nc,
          unsigned tc, unsigned nf, bool meta_bitmap = false)
     {
-        ANSMET_ASSERT(prefix_len < keyBits(t));
+        ANSMET_CHECK(prefix_len < keyBits(t));
         FetchPlanSpec spec{t, dims, prefix_len, {}, meta_bitmap};
         unsigned remaining = keyBits(t) - prefix_len;
         for (unsigned i = 0; i < tc && remaining > 0; ++i) {
@@ -106,7 +106,7 @@ struct FetchPlanSpec
     elemsPerLine(unsigned l) const
     {
         const unsigned b = levelElemBits(l);
-        ANSMET_ASSERT(b > 0 && b <= 512);
+        ANSMET_CHECK(b > 0 && b <= 512);
         return 512 / b;
     }
 
@@ -169,7 +169,7 @@ class FetchCursor
     LineInfo
     next()
     {
-        ANSMET_ASSERT(!done());
+        ANSMET_CHECK(!done());
         const unsigned epl = spec_->elemsPerLine(level_);
         LineInfo info;
         info.level = level_;

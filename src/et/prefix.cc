@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace ansmet::et {
 
@@ -65,8 +65,8 @@ PrefixElimination::PrefixElimination(const CommonPrefix &cp,
       outlier_vec_(vs.size(), false),
       outlier_slot_(vs.size(), kNoSlot)
 {
-    ANSMET_ASSERT(cp.type == vs.type());
-    ANSMET_ASSERT(cp.length < key_width_);
+    ANSMET_CHECK(cp.type == vs.type());
+    ANSMET_CHECK(cp.length < key_width_);
 
     std::vector<std::uint8_t> lens(vs.dims());
     for (std::size_t v = 0; v < vs.size(); ++v) {
@@ -118,7 +118,7 @@ PrefixElimination::knownLen(VectorId v, unsigned d,
     if (fetched_bits == 0)
         return 0;
     const unsigned payload_fetched = fetched_bits - 1;
-    ANSMET_ASSERT(outlier_slot_[v] != kNoSlot);
+    ANSMET_CHECK(outlier_slot_[v] != kNoSlot);
     const unsigned ml =
         match_len_[std::size_t{outlier_slot_[v]} * vs_.dims() + d];
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/prng.h"
 #include "et/bounds.h"
 
@@ -36,7 +36,7 @@ sampleThreshold(const anns::VectorSet &vs, anns::Metric metric,
                 anns::distance(metric, buf.data(), vs, sample[j]));
         }
     }
-    ANSMET_ASSERT(!dists.empty());
+    ANSMET_CHECK(!dists.empty());
     std::sort(dists.begin(), dists.end());
     auto idx = static_cast<std::size_t>(
         percentile * static_cast<double>(dists.size()));
@@ -131,7 +131,7 @@ DualParams
 optimizeDual(const std::vector<unsigned> &et_positions, unsigned key_width,
              unsigned prefix_len, unsigned dims)
 {
-    ANSMET_ASSERT(prefix_len < key_width);
+    ANSMET_CHECK(prefix_len < key_width);
     const unsigned payload = key_width - prefix_len;
 
     static const unsigned kCoarse[] = {1, 2, 3, 4, 6, 8, 12, 16, 24, 32};

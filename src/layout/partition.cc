@@ -11,7 +11,7 @@ Partitioner::Partitioner(const PartitionConfig &cfg, unsigned dims,
     : cfg_(cfg), dims_(dims), bytes_per_dim_(bytes_per_dim),
       num_vectors_(num_vectors)
 {
-    ANSMET_ASSERT(cfg.numRanks >= 1 && dims >= 1 && bytes_per_dim >= 1);
+    ANSMET_CHECK(cfg.numRanks >= 1 && dims >= 1 && bytes_per_dim >= 1);
 
     const std::uint64_t vector_bytes =
         static_cast<std::uint64_t>(dims) * bytes_per_dim;
@@ -31,7 +31,7 @@ Partitioner::Partitioner(const PartitionConfig &cfg, unsigned dims,
 std::vector<SubVector>
 Partitioner::placement(VectorId v, unsigned group) const
 {
-    ANSMET_ASSERT(group < num_groups_);
+    ANSMET_CHECK(group < num_groups_);
     std::vector<SubVector> subs;
     const unsigned base_rank = group * ranks_per_group_;
 

@@ -19,7 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/types.h"
 
 namespace ansmet::layout {
@@ -149,7 +149,7 @@ class LoadTracker
     unsigned
     leastLoaded(const std::vector<unsigned> &ranks) const
     {
-        ANSMET_ASSERT(!ranks.empty());
+        ANSMET_CHECK(!ranks.empty());
         unsigned best = ranks[0];
         for (const unsigned r : ranks)
             if (load_[r] < load_[best])

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/ring_deque.h"
-#include "common/stats.h"
 #include "dram/controller.h"
 #include "sim/event_queue.h"
 #include "sim/inline_callback.h"

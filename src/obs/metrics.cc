@@ -2,8 +2,10 @@
 
 #ifndef ANSMET_OBS_DISABLED
 
+#include <array>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -95,6 +97,9 @@ Snapshot::toJson() const
 namespace {
 
 enum class Kind { kCounter, kHistogram };
+
+/** Largest histogram bucket count Registry::histogram() accepts. */
+constexpr std::uint32_t kMaxBuckets = 64;
 
 struct MetricInfo
 {
@@ -198,7 +203,7 @@ Registry::gauge(std::string_view name)
 Histogram
 Registry::histogram(std::string_view name, unsigned buckets)
 {
-    ANSMET_CHECK(buckets >= 1 && buckets <= 64,
+    ANSMET_CHECK(buckets >= 1 && buckets <= kMaxBuckets,
                  "obs: histogram bucket count ", buckets, " out of range");
     std::uint32_t slot = impl().allocate(name, Kind::kHistogram,
                                          buckets + 1, buckets);
@@ -208,14 +213,34 @@ Registry::histogram(std::string_view name, unsigned buckets)
 namespace {
 
 /**
- * Seqlock read-side retry bound per shard. A tight-loop histogram
- * writer can keep a shard's epoch moving indefinitely, so an unbounded
- * reader could starve; past this many attempts snapshot() accepts the
- * possibly-torn view — exactly the pre-epoch behaviour, and still
- * slot-atomic, so counters are exact either way and only a histogram's
- * bucket/sum pairing can be skewed by in-flight samples.
+ * Add @p shard's share of histogram @p info into @p h. The bucket and
+ * sum slots are copied inside one seqlock window of the shard epoch
+ * (even before, unchanged after), and copied again until a window
+ * holds, so a sample in flight never splits its bucket from its sum.
+ * The window spans only this histogram's slots, which keeps it short;
+ * a failed attempt yields so a writer preempted mid-sample can finish.
  */
-constexpr unsigned kSnapshotRetries = 64;
+void
+addHistogramShard(const detail::Shard &shard, const MetricInfo &info,
+                  HistogramData &h)
+{
+    std::array<std::uint64_t, kMaxBuckets + 1> copy{};
+    for (;;) {
+        const std::uint64_t e = shard.epoch.load(std::memory_order_acquire);
+        if ((e & 1) == 0) {
+            for (std::uint32_t s = 0; s <= info.buckets; ++s)
+                copy[s] = shard.slots[info.slot + s].load(
+                    std::memory_order_relaxed);
+            std::atomic_thread_fence(std::memory_order_acquire);
+            if (shard.epoch.load(std::memory_order_relaxed) == e)
+                break;
+        }
+        std::this_thread::yield();
+    }
+    for (std::uint32_t b = 0; b < info.buckets; ++b)
+        h.buckets[b] += copy[b];
+    h.sum += copy[info.buckets];
+}
 
 } // namespace
 
@@ -225,46 +250,22 @@ Registry::snapshot() const
     Impl &i = impl();
     MutexLock lock(i.mu);
 
-    // Merge every shard slot-wise first, then slice per metric. Each
-    // shard is read under its seqlock epoch: even before, unchanged
-    // after => no multi-slot write (histogram sample) was in flight,
-    // so bucket counts and sums are mutually consistent.
-    std::vector<std::uint64_t> merged(i.nextSlot, 0);
-    std::vector<std::uint64_t> scratch(i.nextSlot, 0);
-    for (const auto &shard : i.shards) {
-        for (unsigned attempt = 0;; ++attempt) {
-            const std::uint64_t e1 =
-                shard->epoch.load(std::memory_order_acquire);
-            if ((e1 & 1) == 0) {
-                for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-                    scratch[s] =
-                        shard->slots[s].load(std::memory_order_relaxed);
-                std::atomic_thread_fence(std::memory_order_acquire);
-                if (shard->epoch.load(std::memory_order_relaxed) == e1)
-                    break;
-            }
-            if (attempt >= kSnapshotRetries) {
-                for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-                    scratch[s] =
-                        shard->slots[s].load(std::memory_order_relaxed);
-                break;
-            }
-        }
-        for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-            merged[s] += scratch[s];
-    }
-
+    // A counter is one slot, exact on its own, so it is read outside
+    // any window; each histogram is read in its own window per shard.
     Snapshot snap;
     for (const auto &[name, info] : i.metrics) {
         if (info.kind == Kind::kCounter) {
-            snap.counters[name] = merged[info.slot];
+            std::uint64_t v = 0;
+            for (const auto &shard : i.shards)
+                v += shard->slots[info.slot].load(std::memory_order_relaxed);
+            snap.counters[name] = v;
         } else {
             HistogramData h;
-            h.buckets.assign(merged.begin() + info.slot,
-                             merged.begin() + info.slot + info.buckets);
+            h.buckets.assign(info.buckets, 0);
+            for (const auto &shard : i.shards)
+                addHistogramShard(*shard, info, h);
             for (std::uint64_t b : h.buckets)
                 h.count += b;
-            h.sum = merged[info.slot + info.buckets];
             snap.histograms[name] = std::move(h);
         }
     }

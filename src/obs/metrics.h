@@ -191,8 +191,8 @@ class Histogram
         // Seqlock write side: the entry increment is acq_rel so the
         // slot adds cannot appear before it, the exit increment is
         // release so they cannot appear after it; the adds themselves
-        // stay relaxed. snapshot() retries any shard it catches with
-        // an odd or moving epoch.
+        // stay relaxed. snapshot() re-reads any histogram window that
+        // catches an odd or moving epoch.
         s.epoch.fetch_add(1, std::memory_order_acq_rel);
         s.slots[first_ + bucketOf(v)].fetch_add(
             1, std::memory_order_relaxed);
@@ -241,8 +241,9 @@ class Registry
     Gauge gauge(std::string_view name);
     Histogram histogram(std::string_view name, unsigned buckets = 40);
 
-    /** Merge all shards into one consistent-enough view. Concurrent
-     *  recording is allowed; each slot is read atomically. */
+    /** Merge all shards into one view. Concurrent recording is
+     *  allowed: each counter is read atomically, and each histogram's
+     *  buckets and sum are read together, never torn. */
     Snapshot snapshot() const;
 
     /** snapshot().toJson() convenience. */

@@ -60,11 +60,11 @@ class AdmissionScheduler
 
     /**
      * Offer an arrival to the queue. Returns false (and counts a
-     * drop) when the queue is full; the result must be checked (lint
-     * R11) — a caller that ignores it cannot tell an enqueued query
-     * from a dropped one. Offering a query id that is already queued
-     * or in flight is a caller bug and CHECK-fails: admitting one
-     * query twice would double-free its slot.
+     * drop) when the queue is full; the result must be checked — a
+     * caller that ignores it cannot tell an enqueued query from a
+     * dropped one. Offering a query id that is already queued or in
+     * flight is a caller bug and CHECK-fails: admitting one query
+     * twice would double-free its slot.
      */
     [[nodiscard]] bool tryOffer(std::uint64_t queryId,
                                 std::size_t traceIdx, Tick now);
@@ -74,7 +74,7 @@ class AdmissionScheduler
      * slot, or nullopt when the queue is empty or every slot is
      * occupied. Never exceeds maxInFlight() in-flight queries. The
      * result carries the slot binding; discarding it would leak the
-     * slot (lint R11).
+     * slot.
      */
     [[nodiscard]] std::optional<Admitted> admitNext(Tick now);
 

@@ -81,8 +81,8 @@ class EventQueue
      * Schedule @p cb at absolute time @p when (>= now), fire-and-
      * forget. Use scheduleCancelable() when the event may need to be
      * descheduled — only that variant hands out a handle, and its
-     * result is [[nodiscard]] (lint R11): a dropped handle means the
-     * event can never be cancelled again.
+     * result is [[nodiscard]]: a dropped handle means the event can
+     * never be cancelled again.
      */
     void
     schedule(Tick when, Callback cb, Priority prio = kDefaultPriority)

@@ -95,16 +95,5 @@ TEST(Hierarchy, HitCyclesOrdering)
               h.hitCycles(CacheHierarchy::Level::kLlc));
 }
 
-TEST(Hierarchy, StatsCount)
-{
-    HierarchyParams p;
-    CacheHierarchy h(p);
-    h.access(0);
-    h.access(0);
-    h.access(64);
-    EXPECT_EQ(h.stats().counters().at("misses").value(), 2u);
-    EXPECT_EQ(h.stats().counters().at("l1_hits").value(), 1u);
-}
-
 } // namespace
 } // namespace ansmet::cache

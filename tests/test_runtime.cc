@@ -13,8 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,6 +79,18 @@ TEST(CoreSet, IdentityIsUnpinned)
     EXPECT_FALSE(cs.pinned());
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_EQ(cs[i], i);
+
+    // The unpinned fallback is sized by ANSMET_THREADS.
+    const char *saved = std::getenv("ANSMET_THREADS");
+    const std::string saved_val = saved ? saved : "";
+    ::setenv("ANSMET_THREADS", "3", 1);
+    EXPECT_EQ(CoreSet::configuredLanes(), 3u);
+    ::setenv("ANSMET_THREADS", "1", 1);
+    EXPECT_EQ(CoreSet::configuredLanes(), 1u);
+    if (saved)
+        ::setenv("ANSMET_THREADS", saved_val.c_str(), 1);
+    else
+        ::unsetenv("ANSMET_THREADS");
 }
 
 // --------------------------------------------------------------------
@@ -263,11 +277,14 @@ TEST(Runtime, OneLaneRuntimeRunsEverythingInlineOnTheCaller)
     EXPECT_FALSE(Runtime::inRuntimeWork());
 
     std::vector<unsigned> hits(100, 0);
+    unsigned calls = 0;
     rt.parallelFor(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
+        ++calls;
         EXPECT_EQ(std::this_thread::get_id(), self);
         for (std::size_t i = lo; i < hi; ++i)
             ++hits[i];
     });
+    EXPECT_EQ(calls, 1u); // no chunking on the serial reference path
     for (unsigned h : hits)
         EXPECT_EQ(h, 1u);
 }
@@ -419,6 +436,19 @@ TEST(Runtime, ParallelForCoversEveryIndexExactlyOnce)
         /*grain=*/7);
     for (std::size_t i = 0; i < kN; ++i)
         ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
+
+    // A non-zero begin is honoured; empty and inverted ranges never
+    // invoke the body.
+    std::atomic<std::size_t> sum{0};
+    rt.parallelFor(100, 200, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 14950u); // (100 + 199) * 100 / 2
+    bool called = false;
+    rt.parallelFor(5, 5, [&](std::size_t, std::size_t) { called = true; });
+    rt.parallelFor(7, 3, [&](std::size_t, std::size_t) { called = true; });
+    EXPECT_FALSE(called);
 }
 
 TEST(Runtime, NestedParallelForRunsInline)
@@ -426,19 +456,24 @@ TEST(Runtime, NestedParallelForRunsInline)
     Runtime rt(config(4));
     std::atomic<unsigned> outer{0};
     std::atomic<unsigned> inner{0};
-    rt.parallelFor(0, 8, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            outer.fetch_add(1, std::memory_order_relaxed);
-            const std::thread::id self = std::this_thread::get_id();
-            rt.parallelFor(0, 4, [&](std::size_t nlo, std::size_t nhi) {
-                EXPECT_EQ(std::this_thread::get_id(), self);
-                inner.fetch_add(static_cast<unsigned>(nhi - nlo),
-                                std::memory_order_relaxed);
-            });
-        }
-    });
-    EXPECT_EQ(outer.load(), 8u);
-    EXPECT_EQ(inner.load(), 32u);
+    // Repeated rounds on one runtime: every nested job runs all its
+    // iterations, round after round.
+    constexpr unsigned kRounds = 10;
+    for (unsigned round = 0; round < kRounds; ++round) {
+        rt.parallelFor(0, 8, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                outer.fetch_add(1, std::memory_order_relaxed);
+                const std::thread::id self = std::this_thread::get_id();
+                rt.parallelFor(0, 4, [&](std::size_t nlo, std::size_t nhi) {
+                    EXPECT_EQ(std::this_thread::get_id(), self);
+                    inner.fetch_add(static_cast<unsigned>(nhi - nlo),
+                                    std::memory_order_relaxed);
+                });
+            }
+        });
+    }
+    EXPECT_EQ(outer.load(), 8u * kRounds);
+    EXPECT_EQ(inner.load(), 32u * kRounds);
 }
 
 TEST(Runtime, ParallelForPropagatesFirstException)
@@ -455,6 +490,22 @@ TEST(Runtime, ParallelForPropagatesFirstException)
                        }),
         std::runtime_error);
     EXPECT_EQ(ran.load(), 1000u); // the range still completes
+
+    // Every chunk throwing, over repeated rounds: one exception
+    // surfaces each time, after the whole range has run.
+    for (int round = 0; round < 50; ++round) {
+        std::atomic<std::size_t> covered{0};
+        EXPECT_THROW(rt.parallelFor(
+                         0, 256,
+                         [&](std::size_t lo, std::size_t hi) {
+                             covered.fetch_add(hi - lo,
+                                               std::memory_order_relaxed);
+                             throw std::runtime_error("chunk failed");
+                         },
+                         /*grain=*/4),
+                     std::runtime_error);
+        EXPECT_EQ(covered.load(), 256u);
+    }
 }
 
 } // namespace

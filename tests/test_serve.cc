@@ -11,11 +11,12 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "anns/dataset.h"
 #include "anns/hnsw.h"
-#include "common/thread_pool.h"
+#include "common/runtime/runtime.h"
 #include "core/system.h"
 #include "core/trace.h"
 #include "et/profile.h"
@@ -36,14 +37,21 @@ envSeed()
     return s ? std::strtoull(s, nullptr, 10) : 1;
 }
 
-/** Run @p fn inside a private pool worker: every nested parallel entry
- *  point degrades to the serial (ANSMET_THREADS=1) code path. */
+/** Run @p fn as a task of a private runtime: every nested parallel
+ *  entry point degrades to the serial (ANSMET_THREADS=1) code path. */
 template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    ThreadPool sandbox(2);
-    return sandbox.submit(std::move(fn)).get();
+    runtime::RuntimeConfig cfg;
+    cfg.cores = runtime::CoreSet::identity(2);
+    runtime::Runtime sandbox(std::move(cfg));
+    std::optional<decltype(fn())> out;
+    runtime::TaskGroup group(sandbox);
+    group.run(runtime::kAnyLane,
+              runtime::Task::Fn{[&fn, &out] { out.emplace(fn()); }});
+    group.wait();
+    return std::move(*out);
 }
 
 // ------------------------------------------------------------------

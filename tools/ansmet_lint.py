@@ -26,10 +26,9 @@ conventions that neither the compiler nor clang-tidy checks:
                            annotated wrappers are mandatory so Clang's
                            thread-safety analysis sees every lock.
                            Likewise no direct std::thread / std::jthread
-                           / std::async outside src/common/runtime/ and
-                           the src/common/thread_pool facade — threads
-                           are spawned only by the task runtime so
-                           worker count, affinity, and shutdown stay
+                           / std::async outside src/common/runtime/ —
+                           threads are spawned only by the task runtime
+                           so worker count, affinity, and shutdown stay
                            centralized (std::this_thread is fine).
   R5  ansmet-eventcapture  No std::function inside the arguments of a
                            schedule()/scheduleIn() call in the
@@ -81,14 +80,6 @@ conventions that neither the compiler nor clang-tidy checks:
                            auditEnabled()), so `++`, assignments, and
                            mutating calls (pop(), erase(), next(), ...)
                            silently disappear in release runs.
-  R11 ansmet-mustuse       Results that encode an outcome must be
-                           checked: MpscChannel::tryPush,
-                           AdmissionScheduler::tryOffer / admitNext,
-                           HistogramData::quantile, and the cancelable
-                           EventQueue schedule variants. Enforced twice:
-                           [[nodiscard]] in the headers and this rule
-                           for expression-statement discards; `(void)`
-                           is the explicit acknowledgement.
   R12 ansmet-cbblock       Deferred callbacks (schedule()/scheduleIn()
                            arguments and onComplete fields) in the
                            sim-hot directories must not block: no
@@ -183,17 +174,13 @@ BANNED_SYNC = {
 SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
 
 # R4 (thread-spawn half): raw std::thread / std::jthread / std::async
-# outside the task runtime and its ThreadPool facade. Centralizing
-# thread creation is what keeps worker count, core affinity, the
-# nested-inline rules, and drain-then-join shutdown coherent.
+# outside the task runtime. Centralizing thread creation is what keeps
+# worker count, core affinity, the nested-inline rules, and
+# drain-then-join shutdown coherent.
 # (`std::this_thread` lexes as the single identifier `this_thread` and
 # is deliberately not banned — yield/sleep_for are fine anywhere.)
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
 THREAD_EXEMPT_DIRS = ("src/common/runtime",)
-THREAD_EXEMPT_FILES = (
-    "src/common/thread_pool.h",
-    "src/common/thread_pool.cc",
-)
 
 # R5/R6/R8: directories whose schedule()/scheduleIn() calls sit on the
 # simulated hot path.
@@ -262,20 +249,6 @@ _MUTATING_METHODS = {"pop", "tryPop", "push", "tryPush", "tryOffer",
                      "store", "exchange", "fetch_add", "fetch_sub",
                      "next"}
 
-# R11: results that encode an outcome the caller cannot infer any
-# other way. Enforced by [[nodiscard]] in the headers AND here (the
-# linter also sees discards that a cast-to-void would hide from -W).
-MUST_CHECK = {
-    "tryPush": "false means the value was NOT enqueued",
-    "tryOffer": "false means the arrival was dropped, not queued",
-    "admitNext": "the result carries the admitted query's slot binding",
-    "quantile": "the estimate is the call's only product",
-    "scheduleCancelable": "a dropped handle can never be descheduled",
-    "scheduleInCancelable": "a dropped handle can never be descheduled",
-}
-_CONSUME_KEYWORDS = {"return", "throw", "co_return", "co_yield"}
-_STMT_KEYWORDS = {"else", "do"}
-
 # R12: parking calls banned inside deferred callbacks (TaskGroup::wait
 # and friends); lock RAII comes from LOCK_CLASSES above.
 _BLOCKING_WAITS = {"wait", "waitAll"}
@@ -291,7 +264,6 @@ RULES = {
     "R8": "ansmet-danglecapture",
     "R9": "ansmet-detflow",
     "R10": "ansmet-checkpure",
-    "R11": "ansmet-mustuse",
     "R12": "ansmet-cbblock",
 }
 
@@ -770,9 +742,8 @@ def check_raw_sync(path, tokens, waived, findings):
     norm = path.replace(os.sep, "/")
     if norm.endswith("common/sync.h"):
         return
-    spawn_exempt = (any(f"/{d}/" in norm or norm.startswith(f"{d}/")
-                        for d in THREAD_EXEMPT_DIRS) or
-                    norm.endswith(THREAD_EXEMPT_FILES))
+    spawn_exempt = any(f"/{d}/" in norm or norm.startswith(f"{d}/")
+                       for d in THREAD_EXEMPT_DIRS)
     code = [t for t in tokens if t.kind in ("id", "kw", "punct")]
     for idx, tok in enumerate(code):
         if tok.kind != "id":
@@ -801,9 +772,9 @@ def check_raw_sync(path, tokens, waived, findings):
             findings.append(Finding(
                 path, tok.line, "R4",
                 f"raw std::{tok.spelling}: spawn through the task runtime "
-                f"(common/runtime/Runtime, TaskGroup, parallelFor) or the "
-                f"ThreadPool facade so worker count, core affinity, and "
-                f"drain-then-join shutdown stay centralized"))
+                f"(common/runtime/Runtime, TaskGroup, parallelFor) so "
+                f"worker count, core affinity, and drain-then-join "
+                f"shutdown stay centralized"))
 
 
 def check_event_capture(path, tokens, waived, findings):
@@ -1748,104 +1719,6 @@ def check_dcheck_pure(path, code, waived, findings):
 
 
 # --------------------------------------------------------------------
-# R11 ansmet-mustuse: discarded results of must-check calls
-# --------------------------------------------------------------------
-
-def _statement_discards(code, j):
-    """code[j] heads a must-check call whose value reaches an
-    expression-statement boundary; walk the receiver chain backwards
-    to decide whether the statement truly drops it (True) or this is a
-    declaration / consumed / (void)-acknowledged context (False)."""
-    while True:
-        if j == 0:
-            return True
-        p = code[j - 1]
-        s = p.spelling
-        # Step over a chain separator onto the receiver token.
-        recv = None
-        if s == ".":
-            recv = j - 2
-        elif s == ">" and j >= 2 and code[j - 2].spelling == "-":
-            recv = j - 3
-        elif s == ":" and j >= 2 and code[j - 2].spelling == ":":
-            recv = j - 3
-        if recv is not None:
-            if recv < 0:
-                return True
-            rt = code[recv]
-            if rt.kind in ("id", "kw"):
-                j = recv
-                continue
-            if rt.spelling == ")":
-                op = _match_backward(code, recv, "(", ")")
-                if op is None:
-                    return False
-                # Call-result receiver: get(...).tryPush(...).
-                if op > 0 and code[op - 1].kind in ("id", "kw"):
-                    j = op - 1
-                else:
-                    j = op  # parenthesized-expression receiver
-                continue
-            if rt.spelling == "]":
-                op = _match_backward(code, recv, "[", "]")
-                if op is None:
-                    return False
-                j = op
-                continue
-            return False
-        if p.kind in ("id", "kw"):
-            if s in _CONSUME_KEYWORDS:
-                return False
-            if s in _STMT_KEYWORDS:
-                return True
-            return False  # `Type name(` — a declaration, not a call
-        if s == "]":
-            op = _match_backward(code, j - 1, "[", "]")
-            if op is None:
-                return False
-            j = op  # receiver subscript: arr[i].tryPush(...)
-            continue
-        if s == ")":
-            op = _match_backward(code, j - 1, "(", ")")
-            if op is None:
-                return False
-            inner = code[op + 1:j - 1]
-            if len(inner) == 1 and inner[0].spelling == "void":
-                return False  # (void)x.f(...) — acknowledged discard
-            before = code[op - 1].spelling if op > 0 else ""
-            if before in ("if", "while", "for", "switch"):
-                return True  # un-braced control body: the call IS
-                #              the whole statement
-            if op > 0 and code[op - 1].kind in ("id", "kw"):
-                j = op - 1  # receiver is a call: get(...).tryPush(...)
-                continue
-            return False
-        if s in (";", "{", "}", ":"):
-            return True  # statement boundary reached: value dropped
-        return False  # some operator consumed the value
-
-
-def check_must_use(path, code, waived, findings):
-    n = len(code)
-    for idx, tok in enumerate(code):
-        if (tok.kind != "id" or tok.spelling not in MUST_CHECK or
-                _tok_at(code, idx + 1) != "("):
-            continue
-        end = skip_balanced(code, idx + 1, "(", ")")
-        if end is None or end >= n or code[end].spelling != ";":
-            continue  # consumed by the surrounding expression
-        if not _statement_discards(code, idx):
-            continue
-        if is_waived(waived, RULES["R11"], tok.line):
-            continue
-        findings.append(Finding(
-            path, tok.line, "R11",
-            f"discarded result of {tok.spelling}(): "
-            f"{MUST_CHECK[tok.spelling]}; branch on it, store it, or "
-            f"make the discard explicit with (void)"))
-
-
-# --------------------------------------------------------------------
 # R12 ansmet-cbblock: blocking inside deferred callbacks
 # --------------------------------------------------------------------
 
@@ -2008,7 +1881,6 @@ def lint_file(path, repo_root, tokens):
     check_dangle_capture(rel, tokens, waived, findings)
     check_detflow(rel, code, funcs, waived, findings)
     check_dcheck_pure(rel, code, waived, findings)
-    check_must_use(rel, code, waived, findings)
     check_cb_block(rel, code, funcs, waived, findings)
     return findings, funcs, waived
 
@@ -2193,7 +2065,7 @@ def collect_files(repo_root, paths):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        description="ANSMET determinism/style linter (rules R1-R12)")
+        description="ANSMET determinism/style linter (rules R1-R10, R12)")
     ap.add_argument("paths", nargs="*",
                     help="files or directories (default: <repo>/src)")
     ap.add_argument("--repo", default=None,
