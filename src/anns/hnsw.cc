@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/runtime/runtime.h"
+#include "common/sync.h"
 #include "obs/metrics.h"
 
 namespace ansmet::anns {
@@ -108,13 +109,7 @@ HnswIndex::HnswIndex(const VectorSet &vs, Metric m, HnswParams params)
       scratch_(std::make_unique<ScratchPool>(vs.size()))
 {
     ANSMET_CHECK(vs.size() > 0, "empty vector set");
-    const std::vector<unsigned> levels = drawLevels();
-    if (params_.build == HnswParams::Build::kLocked)
-        buildLocked(levels);
-    else
-        buildOrdered(levels);
-    locks_.reset();
-    entry_mu_.reset();
+    buildOrdered(drawLevels());
 }
 
 // Defined here, where ScratchPool is complete.
@@ -176,7 +171,7 @@ HnswIndex::graphBytes() const
 std::vector<Neighbor>
 HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
                        unsigned level, SearchObserver *obs,
-                       VisitScratch &vis, bool locked) const
+                       VisitScratch &vis) const
 {
     if (++vis.epoch == 0) {
         // Epoch wrapped: old tags could collide with the new epoch.
@@ -196,25 +191,17 @@ HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
     std::uint64_t hops = 0;
     std::uint64_t comps = 0;
 
-    std::vector<VectorId> snapshot;
     while (!candidates.empty()) {
         const Neighbor cur = candidates.pop();
         if (cur.dist > results.worst())
             break;
         ++hops;
 
-        const std::vector<VectorId> *links = &nodes_[cur.id].links[level];
-        if (locked) {
-            // Live parallel build: another thread may be appending to
-            // this list; copy it under the node's lock.
-            MutexLock lk(locks_[cur.id]);
-            snapshot = nodes_[cur.id].links[level];
-            links = &snapshot;
-        }
+        const std::vector<VectorId> &links = nodes_[cur.id].links[level];
         if (obs) {
             obs->beginStep(level == 0 ? StepKind::kBaseBeam
                                       : StepKind::kUpperGreedy,
-                           links->size() * sizeof(VectorId), cur.id);
+                           links.size() * sizeof(VectorId), cur.id);
             obs->onHeapOps(1); // the pop above
         }
 
@@ -227,7 +214,7 @@ HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
         // the original order. The threshold is frozen for the whole
         // batch, so decisions match the one-at-a-time loop exactly.
         vis.batchIds.clear();
-        for (const VectorId nb : *links) {
+        for (const VectorId nb : links) {
             if (vis.tag[nb] == vis.epoch)
                 continue;
             vis.tag[nb] = vis.epoch;
@@ -431,73 +418,6 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
             }
         }
         done += batch;
-    }
-}
-
-void
-HnswIndex::buildLocked(const std::vector<unsigned> &levels)
-{
-    const std::size_t n = vs_.size();
-    locks_ = std::make_unique<Mutex[]>(n);
-    entry_mu_ = std::make_unique<Mutex>();
-
-    entry_ = 0;
-    max_level_ = levels[0];
-    nodes_[0].links.resize(levels[0] + 1);
-
-    runtime::parallelFor(1, n, [&](std::size_t lo, std::size_t hi) {
-        ScratchLease vis(*scratch_);
-        for (std::size_t v = lo; v < hi; ++v) {
-            insertLocked(static_cast<VectorId>(v), levels[v], *vis);
-        }
-    });
-}
-
-void
-HnswIndex::insertLocked(VectorId v, unsigned level, VisitScratch &vis)
-{
-    // Size the adjacency before v becomes reachable via back-edges.
-    {
-        MutexLock lk(locks_[v]);
-        nodes_[v].links.resize(level + 1);
-    }
-
-    Neighbor ep;
-    unsigned start_level;
-    {
-        MutexLock lk(*entry_mu_);
-        ep.id = entry_;
-        start_level = max_level_;
-    }
-    std::vector<float> q = vs_.toFloat(v);
-    ep.dist = dist(q.data(), ep.id);
-
-    for (unsigned l = start_level; l > level && l > 0; --l)
-        ep = searchLayer(q.data(), ep, 1, l, nullptr, vis, true).front();
-
-    for (int l = static_cast<int>(std::min(level, start_level)); l >= 0;
-         --l) {
-        const auto lu = static_cast<unsigned>(l);
-        auto found = searchLayer(q.data(), ep, params_.efConstruction, lu,
-                                 nullptr, vis, true);
-        ep = found.front();
-
-        const auto selected = selectNeighbors(q.data(), found, params_.m);
-        {
-            MutexLock lk(locks_[v]);
-            nodes_[v].links[lu] = selected;
-        }
-        for (const VectorId nb : selected) {
-            MutexLock lk(locks_[nb]);
-            nodes_[nb].links[lu].push_back(v);
-            shrink(nb, lu);
-        }
-    }
-
-    MutexLock lk(*entry_mu_);
-    if (level > max_level_) {
-        max_level_ = level;
-        entry_ = v;
     }
 }
 

@@ -8,19 +8,13 @@
  * paper) and reports every comparison through a SearchObserver so the
  * timing layer can replay it.
  *
- * Construction is parallelized over the global thread pool in one of
- * two modes (HnswParams::build):
- *  - kOrdered (default): deterministic batch-parallel insertion. The
- *    vertex stream is processed in exponentially growing batches; all
- *    candidate searches of a batch run in parallel against the graph
- *    frozen at batch start, then edges are applied in insertion order.
- *    The resulting graph is a pure function of the seed, identical for
- *    any thread count — this is what keeps traces and figures
- *    reproducible.
- *  - kLocked: live insertion with fine-grained per-node neighbor-list
- *    locking (hnswlib-style). Slightly better graph quality under
- *    massive parallelism, but adjacency depends on thread
- *    interleaving, so it is opt-in for throughput-only uses.
+ * Construction is deterministic batch-parallel insertion over the task
+ * runtime. The vertex stream is processed in exponentially growing
+ * batches; all candidate searches of a batch run in parallel against
+ * the graph frozen at batch start, then edges are applied in insertion
+ * order. The resulting graph is a pure function of the seed, identical
+ * for any thread count — this is what keeps traces and figures
+ * reproducible.
  * Search is thread-safe and lock-free: per-call visited-set scratch
  * comes from an internal pool instead of shared mutable members.
  */
@@ -38,20 +32,15 @@
 #include "anns/observer.h"
 #include "anns/vector.h"
 #include "common/prng.h"
-#include "common/sync.h"
 
 namespace ansmet::anns {
 
 /** HNSW construction parameters. */
 struct HnswParams
 {
-    /** Parallel construction mode; see file comment. */
-    enum class Build : std::uint8_t { kOrdered, kLocked };
-
     unsigned m = 16;              //!< max degree on upper layers
     unsigned efConstruction = 500;
     std::uint64_t seed = 42;
-    Build build = Build::kOrdered;
 
     unsigned maxDegree(unsigned level) const { return level == 0 ? 2 * m : m; }
 };
@@ -160,15 +149,12 @@ class HnswIndex
     /**
      * Beam search within one layer from @p entry.
      * @param vis per-call visited scratch
-     * @param locked snapshot each node's links under its lock (live
-     *        parallel build only)
      * @return candidates found, ascending by distance (up to ef).
      */
     std::vector<Neighbor> searchLayer(const float *q, Neighbor entry,
                                       std::size_t ef, unsigned level,
                                       SearchObserver *obs,
-                                      VisitScratch &vis,
-                                      bool locked = false) const;
+                                      VisitScratch &vis) const;
 
     /** HNSW Algorithm 4 neighbor selection (heuristic with pruning). */
     std::vector<VectorId> selectNeighbors(const float *q,
@@ -183,8 +169,6 @@ class HnswIndex
                           VisitScratch &vis) const;
 
     void buildOrdered(const std::vector<unsigned> &levels);
-    void buildLocked(const std::vector<unsigned> &levels);
-    void insertLocked(VectorId v, unsigned level, VisitScratch &vis);
 
     void shrink(VectorId v, unsigned level);
 
@@ -198,16 +182,6 @@ class HnswIndex
 
     // Search scratch pool; mutable because search is logically const.
     mutable std::unique_ptr<ScratchPool> scratch_;
-
-    // Per-node neighbor-list locks plus the entry-point lock; allocated
-    // only for the duration of a kLocked build (a mutex member would
-    // make the index non-movable). locks_[v] guards nodes_[v].links and
-    // *entry_mu_ guards entry_/max_level_ — but only while the locked
-    // build runs, so the per-element contracts stay in comments: a
-    // static GUARDED_BY would outlaw the single-threaded ordered build
-    // and post-build reads, which need no lock at all.
-    mutable std::unique_ptr<Mutex[]> locks_;
-    std::unique_ptr<Mutex> entry_mu_;
 };
 
 } // namespace ansmet::anns

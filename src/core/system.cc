@@ -826,26 +826,6 @@ SystemModel::run(const std::vector<QueryTrace> &traces)
     for (unsigned c = 0; c < ctxs; ++c)
         dispatchNext(c);
 
-    if (std::getenv("ANSMET_EQ_DEBUG")) {
-        eq_.setDebug(true);
-        eq_.setDebugHook([this] {
-            std::size_t bank = 0, ndpq = 0;
-            std::uint64_t nlines = 0, ntasks = 0;
-            for (unsigned c = 0; c < hostCpu_->numChannels(); ++c)
-                bank += hostCpu_->channel(c).queueDepth();
-            for (auto &u : units_) {
-                ndpq += u->rankController().queueDepth();
-                nlines += u->linesFetched();
-                ntasks += u->tasksCompleted();
-            }
-            std::fprintf(stderr,
-                         "  host_bankq=%zu ndp_bankq=%zu ndp_lines=%llu "
-                         "ndp_tasks=%llu done_queries=%zu\n",
-                         bank, ndpq, (unsigned long long)nlines,
-                         (unsigned long long)ntasks,
-                         run_stats_ ? run_stats_->queries.size() : 0);
-        });
-    }
     eq_.run();
     return endSession();
 }

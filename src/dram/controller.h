@@ -45,9 +45,6 @@ class MemController
      */
     void enqueueBusTransfer(bool is_write, Request::Callback cb);
 
-    /** Number of requests not yet issued their column command. */
-    std::size_t queueDepth() const { return queue_.size(); }
-
     RankDevice &rankDevice(unsigned r) { return *ranks_[r]; }
     const RankDevice &rankDevice(unsigned r) const { return *ranks_[r]; }
     unsigned numRanks() const { return static_cast<unsigned>(ranks_.size()); }

@@ -166,35 +166,5 @@ TEST(ParallelDeterminism, TraceReplayStatsMatchOnTheFlyReference)
     }
 }
 
-TEST(ParallelDeterminism, LockedBuildSearchStillAccurate)
-{
-    // The opt-in lock-based build is nondeterministic by construction,
-    // but must still produce a valid, searchable graph.
-    const auto &ds = dataset();
-    anns::HnswParams params{16, 80, 42};
-    params.build = anns::HnswParams::Build::kLocked;
-    const anns::HnswIndex idx(*ds.base, anns::Metric::kL2, params);
-
-    for (VectorId v = 0; v < ds.base->size(); ++v) {
-        for (unsigned l = 0; l <= idx.levelOf(v); ++l) {
-            EXPECT_LE(idx.neighbors(v, l).size(), params.maxDegree(l));
-            for (const VectorId nb : idx.neighbors(v, l)) {
-                EXPECT_LT(nb, ds.base->size());
-                EXPECT_NE(nb, v);
-                EXPECT_GE(idx.levelOf(nb), l);
-            }
-        }
-    }
-
-    const auto gt =
-        anns::bruteForceAll(anns::Metric::kL2, ds.queries, *ds.base, 10);
-    double total = 0.0;
-    for (std::size_t q = 0; q < ds.queries.size(); ++q) {
-        total += anns::recallAtK(idx.search(ds.queries[q].data(), 10, 100),
-                                 gt[q], 10);
-    }
-    EXPECT_GE(total / static_cast<double>(ds.queries.size()), 0.8);
-}
-
 } // namespace
 } // namespace ansmet

@@ -38,14 +38,6 @@ conventions that neither the compiler nor clang-tidy checks:
                            (an InlineFunction with a compile-enforced
                            capture budget); std::function would put its
                            capture back on the heap per event.
-  R6  ansmet-tickunits     No raw integer literal as the time argument
-                           of schedule()/scheduleIn() or the DRAM
-                           timing-legality calls (earliestAct/issueAct/
-                           earliestPre/issuePre/earliestCol/issueCol/
-                           catchUpRefresh) in the simulator-hot
-                           directories: simulated times are sim::Tick /
-                           sim::TickDelta, and a bare literal bypasses
-                           the unit check the strong types exist for.
   R7  ansmet-lockorder     The static lock-acquisition graph must be
                            acyclic. Scoped acquisitions (MutexLock /
                            ReaderLock / WriterLock from common/sync.h,
@@ -95,34 +87,14 @@ using the rule names in the middle column (for R7, on the acquisition
 or call line that contributes the unwanted edge). R3 itself validates
 those comments, so a suppression can never be silent.
 
-Engines: with the libclang Python bindings installed (python3-clang)
-each file is parsed by clang itself, driven by the build tree's
-compile_commands.json; the structural rules then run over clang's
-token stream and a cursor-visitation pass over the AST prunes any
-finding the AST disproves (wrong call resolution, a bracket that is
-not a lambda). Without the bindings a built-in lexer produces the same
-unified token stream and every rule — including R6/R7/R8 — runs on the
-structural analysis alone, so lexical-engine findings are always a
-superset of libclang-engine findings. `--engine libclang` makes
-libclang mandatory and SKIPS with exit 0 when it is absent, mirroring
-tools/run_tidy.sh's behavior when clang-tidy is missing.
+Tokens come from a built-in C++ lexer (lex_tokens); every rule runs
+on that one token stream, over a full scan of src/ by default.
 
 Output: `--format text` (default) prints one line per finding;
 `--format sarif` emits a SARIF 2.1.0 log (for code-scanning upload).
 `--output FILE` redirects either format to a file.
 
-Caching: per-file results (findings + lock facts) are memoized under
-<repo>/.ansmet_cache/lint/, keyed by the file's content hash, the
-engine, and a fingerprint of this script — so a re-run over an
-unchanged tree re-reports identical findings without re-analysis, and
-any edit to a file or to the linter invalidates exactly the right
-entries. Cross-file passes (R7 lock order) always re-run over the
-cached facts, so caching never changes the result. `--no-cache`
-disables it; `--changed-only` restricts the scan to files changed vs
-git HEAD (plus untracked) for fast local iteration — the lock-order
-graph then only sees those files, so CI keeps the full scan.
-
-Exit status: 0 clean (or skipped), 1 findings, 2 usage error.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -182,30 +154,12 @@ SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
 THREAD_EXEMPT_DIRS = ("src/common/runtime",)
 
-# R5/R6/R8: directories whose schedule()/scheduleIn() calls sit on the
+# R5/R8/R12: directories whose schedule()/scheduleIn() calls sit on the
 # simulated hot path.
 SIM_HOT_DIRS = ("src/sim", "src/ndp", "src/dram", "src/cpu", "src/core",
                 "src/cache")
 SCHEDULE_CALLS = ("schedule", "scheduleIn", "scheduleCancelable",
                   "scheduleInCancelable")
-
-# R6: call name -> zero-based index of its Tick/TickDelta argument.
-# The schedule() priority argument and DRAM bank-address/is_write
-# arguments are deliberately NOT covered: only the time slot is
-# unit-typed.
-TIME_ARG_CALLS = {
-    "schedule": 0,
-    "scheduleIn": 0,
-    "scheduleCancelable": 0,
-    "scheduleInCancelable": 0,
-    "catchUpRefresh": 0,
-    "earliestAct": 1,
-    "earliestPre": 1,
-    "issueAct": 1,
-    "issuePre": 1,
-    "earliestCol": 2,
-    "issueCol": 2,
-}
 
 # R7: the scoped-capability RAII classes from src/common/sync.h.
 LOCK_CLASSES = {"MutexLock", "ReaderLock", "WriterLock"}
@@ -259,7 +213,6 @@ RULES = {
     "R3": "ansmet-nolint",
     "R4": "ansmet-rawsync",
     "R5": "ansmet-eventcapture",
-    "R6": "ansmet-tickunits",
     "R7": "ansmet-lockorder",
     "R8": "ansmet-danglecapture",
     "R9": "ansmet-detflow",
@@ -296,7 +249,8 @@ class Finding:
 
 
 # --------------------------------------------------------------------
-# Lexical engine: a small C++ scanner producing the unified tokens.
+# Lexer: a small C++ scanner producing the token stream every rule
+# reads.
 # --------------------------------------------------------------------
 
 _ID_START = set("abcdefghijklmnopqrstuvwxyz"
@@ -405,124 +359,6 @@ def lex_tokens(text):
 
 
 # --------------------------------------------------------------------
-# libclang engine: the same token stream, produced by clang's lexer,
-# plus the translation unit for the AST refinement pass.
-# --------------------------------------------------------------------
-
-def try_import_libclang():
-    if os.environ.get("ANSMET_LINT_FORCE_NO_LIBCLANG"):
-        return None
-    try:
-        from clang import cindex  # type: ignore
-        cindex.Index.create()  # verifies libclang.so actually loads
-        return cindex
-    except Exception:
-        return None
-
-
-def compile_args_for(path, compdb_dir):
-    """Extract the -I/-D/-std args recorded for path (or any TU) from
-    compile_commands.json, so clang lexes under the project config."""
-    cc_path = os.path.join(compdb_dir or "", "compile_commands.json")
-    if not compdb_dir or not os.path.isfile(cc_path):
-        return ["-std=c++20"]
-    try:
-        with open(cc_path, encoding="utf-8") as f:
-            db = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return ["-std=c++20"]
-    want = os.path.abspath(path)
-    fallback = None
-    for entry in db:
-        args = entry.get("command", "").split()[1:]
-        keep = [a for a in args
-                if a.startswith(("-I", "-D", "-std=", "-isystem"))]
-        if os.path.abspath(entry.get("file", "")) == want:
-            return keep or ["-std=c++20"]
-        fallback = fallback or keep
-    return fallback or ["-std=c++20"]
-
-
-def clang_parse(cindex, path, text, args):
-    return cindex.TranslationUnit.from_source(
-        path, args=args, unsaved_files=[(path, text)],
-        options=cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-
-
-def clang_tokens(cindex, tu, path):
-    kinds = cindex.TokenKind
-    out = []
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        if tok.location.file and tok.location.file.name != path:
-            continue
-        spelling = tok.spelling
-        line = tok.location.line
-        if tok.kind == kinds.COMMENT:
-            out.append(Token("comment", spelling, line))
-        elif tok.kind == kinds.LITERAL:
-            out.append(Token("literal", spelling, line))
-        elif tok.kind == kinds.IDENTIFIER:
-            out.append(Token("id", spelling, line))
-        elif tok.kind == kinds.KEYWORD:
-            out.append(Token("kw" if spelling in _KEYWORDS else "id",
-                             spelling, line))
-        else:  # punctuation: split multi-char operators into chars
-            for ch in spelling:
-                out.append(Token("punct", ch, line))
-    return out
-
-
-def ast_refine(cindex, tu, findings):
-    """Cursor-visitation refinement (libclang engine only).
-
-    Walks the AST and drops structural findings the AST disproves:
-    an R6 finding whose time argument actually references a variable
-    or call, and an R8 finding on a line no lambda expression spans.
-    The pass only ever REMOVES findings, so the lexical engine stays a
-    strict superset, and it bails out wholesale when the translation
-    unit did not parse cleanly (a broken AST proves nothing).
-    """
-    try:
-        if any(d.severity >= cindex.Diagnostic.Error
-               for d in tu.diagnostics):
-            return findings
-        kinds = cindex.CursorKind
-        value_ref_kinds = {kinds.DECL_REF_EXPR, kinds.MEMBER_REF_EXPR,
-                           kinds.CALL_EXPR}
-        r6_disproved = set()
-        lambda_lines = set()
-        for cur in tu.cursor.walk_preorder():
-            loc = cur.location
-            if loc.file is None or loc.file.name != tu.spelling:
-                continue
-            if cur.kind == kinds.LAMBDA_EXPR:
-                ext = cur.extent
-                lambda_lines.update(
-                    range(ext.start.line, ext.end.line + 1))
-            elif (cur.kind == kinds.CALL_EXPR and
-                  cur.spelling in TIME_ARG_CALLS):
-                k = TIME_ARG_CALLS[cur.spelling]
-                args = list(cur.get_arguments())
-                if k >= len(args):
-                    continue
-                seen = {c.kind for c in args[k].walk_preorder()}
-                if seen & value_ref_kinds:
-                    ext = args[k].extent
-                    r6_disproved.update(
-                        range(ext.start.line, ext.end.line + 1))
-        kept = []
-        for f in findings:
-            if f.rule == "R6" and f.line in r6_disproved:
-                continue
-            if f.rule == "R8" and f.line not in lambda_lines:
-                continue
-            kept.append(f)
-        return kept
-    except Exception:
-        return findings
-
-
-# --------------------------------------------------------------------
 # Suppression handling
 # --------------------------------------------------------------------
 
@@ -553,7 +389,7 @@ def is_waived(waived, rule_name, line):
 
 
 # --------------------------------------------------------------------
-# Structural helpers shared by the R6/R7/R8 analyses
+# Structural helpers shared by the R7-R12 analyses
 # --------------------------------------------------------------------
 
 def code_tokens(tokens):
@@ -643,7 +479,7 @@ def render_expr(expr_tokens):
 
 
 # --------------------------------------------------------------------
-# Rule implementations R1-R5 (token-level; shared by both engines)
+# Rule implementations R1-R5 (token-level)
 # --------------------------------------------------------------------
 
 def path_in(path, prefixes):
@@ -811,49 +647,6 @@ def check_event_capture(path, tokens, waived, findings):
                         "(sim::EventQueue::Callback); a std::function "
                         "capture heap-allocates on the hot path"))
             j += 1
-
-
-# --------------------------------------------------------------------
-# R6 ansmet-tickunits: raw integer literals in time arguments
-# --------------------------------------------------------------------
-
-def check_tick_units(path, tokens, waived, findings):
-    if not path_in(path, SIM_HOT_DIRS):
-        return
-    code = code_tokens(tokens)
-    n = len(code)
-    for idx, tok in enumerate(code):
-        if tok.kind != "id" or tok.spelling not in TIME_ARG_CALLS:
-            continue
-        if idx + 1 >= n or code[idx + 1].spelling != "(":
-            continue
-        end = skip_balanced(code, idx + 1, "(", ")")
-        if end is None:
-            continue
-        args = split_top_commas(code[idx + 2:end - 1])
-        k = TIME_ARG_CALLS[tok.spelling]
-        if k >= len(args) or not args[k]:
-            continue
-        arg = args[k]
-        # An identifier anywhere in the argument means the value went
-        # through a name — a Tick{}/TickDelta{} constructor, a typed
-        # variable, or an expression over them. Only a pure-literal
-        # argument (possibly parenthesized / negated) is unit-blind.
-        if any(t.kind in ("id", "kw") for t in arg):
-            continue
-        lits = [t for t in arg
-                if t.kind == "literal" and t.spelling[:1].isdigit()]
-        if not lits:
-            continue
-        lit = lits[0]
-        if is_waived(waived, RULES["R6"], lit.line):
-            continue
-        findings.append(Finding(
-            path, lit.line, "R6",
-            f"raw integer literal '{lit.spelling}' as the time argument "
-            f"of {tok.spelling}(): simulated times are unit-typed; "
-            f"construct a sim::Tick{{...}} / sim::TickDelta{{...}} "
-            f"instead"))
 
 
 # --------------------------------------------------------------------
@@ -1725,8 +1518,8 @@ def check_dcheck_pure(path, code, waived, findings):
 def _local_lock_trans(funcs):
     """File-local transitive may-acquire sets, propagated with the same
     call-resolution discipline as the global lock-order pass but
-    restricted to this file's definitions (keeps per-file results
-    cacheable; cross-file blocking is deliberately unresolved)."""
+    restricted to this file's definitions (cross-file blocking is
+    deliberately unresolved)."""
     by_last = {}
     for f in funcs:
         by_last.setdefault(f.name.split("::")[-1], []).append(f)
@@ -1877,7 +1670,6 @@ def lint_file(path, repo_root, tokens):
     check_nolint_justified(rel, tokens, findings)
     check_raw_sync(rel, tokens, waived, findings)
     check_event_capture(rel, tokens, waived, findings)
-    check_tick_units(rel, tokens, waived, findings)
     check_dangle_capture(rel, tokens, waived, findings)
     check_detflow(rel, code, funcs, waived, findings)
     check_dcheck_pure(rel, code, waived, findings)
@@ -1889,7 +1681,7 @@ def lint_file(path, repo_root, tokens):
 # SARIF output
 # --------------------------------------------------------------------
 
-def sarif_report(findings, engine):
+def sarif_report(findings):
     """SARIF 2.1.0 log for code-scanning upload; same findings, same
     order as the text report."""
     rules = [{
@@ -1926,123 +1718,14 @@ def sarif_report(findings, engine):
                 "rules": rules,
             }},
             "columnKind": "utf16CodeUnits",
-            "properties": {"engine": engine},
             "results": results,
         }],
     }
 
 
 # --------------------------------------------------------------------
-# Per-file result cache
-# --------------------------------------------------------------------
-
-_FINGERPRINT = None
-
-
-def _ruleset_fingerprint():
-    """Hash of this script itself: any rule change invalidates every
-    cached entry."""
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        import hashlib
-        try:
-            with open(os.path.abspath(__file__), "rb") as f:
-                _FINGERPRINT = hashlib.sha256(f.read()).hexdigest()
-        except OSError:
-            _FINGERPRINT = "unknown"
-    return _FINGERPRINT
-
-
-def _cache_path(repo_root, rel, text, engine):
-    import hashlib
-    h = hashlib.sha256()
-    for part in (rel.replace(os.sep, "/"), engine,
-                 _ruleset_fingerprint()):
-        h.update(part.encode("utf-8"))
-        h.update(b"\0")
-    h.update(text.encode("utf-8", "replace"))
-    return os.path.join(repo_root, ".ansmet_cache", "lint",
-                        h.hexdigest()[:40] + ".json")
-
-
-def _serialize_entry(findings, funcs, waived):
-    return {
-        "findings": [[f.line, f.rule, f.message] for f in findings],
-        "funcs": [{
-            "name": g.name,
-            "owner": g.owner,
-            "requires": sorted(g.requires),
-            "acquisitions": [[lk, ln, sorted(held)]
-                             for lk, ln, held in g.acquisitions],
-            "calls": [[c, q, ln, sorted(held)]
-                      for c, q, ln, held in g.calls],
-        } for g in funcs],
-        "waived": {k: sorted(v) for k, v in waived.items()},
-    }
-
-
-def _deserialize_entry(rel, entry):
-    findings = [Finding(rel, ln, rule, msg)
-                for ln, rule, msg in entry["findings"]]
-    funcs = []
-    for d in entry["funcs"]:
-        g = FuncInfo(d["name"], d["owner"], rel)
-        g.requires = set(d["requires"])
-        g.acquisitions = [(lk, ln, frozenset(held))
-                          for lk, ln, held in d["acquisitions"]]
-        g.calls = [(c, q, ln, frozenset(held))
-                   for c, q, ln, held in d["calls"]]
-        funcs.append(g)
-    waived = {k: set(v) for k, v in entry["waived"].items()}
-    return findings, funcs, waived
-
-
-def _cache_load(cpath):
-    try:
-        with open(cpath, encoding="utf-8") as f:
-            entry = json.load(f)
-        if not all(k in entry for k in ("findings", "funcs", "waived")):
-            return None
-        return entry
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _cache_store(cpath, entry):
-    try:
-        os.makedirs(os.path.dirname(cpath), exist_ok=True)
-        tmp = f"{cpath}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(entry, f)
-        os.replace(tmp, cpath)
-    except OSError:
-        pass  # caching is best-effort; never fail the lint for it
-
-
-# --------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------
-
-def git_changed_files(repo_root):
-    """Absolute paths of files changed vs HEAD plus untracked files,
-    or None when git is unavailable."""
-    import subprocess
-    names = set()
-    for args in (["diff", "--name-only", "HEAD"],
-                 ["ls-files", "--others", "--exclude-standard"]):
-        try:
-            r = subprocess.run(["git", "-C", repo_root] + args,
-                               capture_output=True, text=True,
-                               timeout=30)
-        except (OSError, subprocess.SubprocessError):
-            return None
-        if r.returncode != 0:
-            return None
-        names.update(ln.strip() for ln in r.stdout.splitlines()
-                     if ln.strip())
-    return {os.path.abspath(os.path.join(repo_root, nm))
-            for nm in names}
-
 
 def collect_files(repo_root, paths):
     if paths:
@@ -2065,33 +1748,18 @@ def collect_files(repo_root, paths):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        description="ANSMET determinism/style linter (rules R1-R10, R12)")
+        description="ANSMET determinism/style linter (rules R1-R5, "
+                    "R7-R10, R12)")
     ap.add_argument("paths", nargs="*",
                     help="files or directories (default: <repo>/src)")
     ap.add_argument("--repo", default=None,
                     help="repository root (default: parent of tools/)")
-    ap.add_argument("--build-dir", default=None,
-                    help="build tree with compile_commands.json "
-                         "(libclang engine only; default: <repo>/build)")
-    ap.add_argument("--engine", choices=("auto", "libclang", "lexical"),
-                    default="auto",
-                    help="auto: libclang when importable, else the "
-                         "built-in lexer; libclang: require it and "
-                         "SKIP (exit 0) when absent")
     ap.add_argument("--format", choices=("text", "sarif"),
                     default="text",
                     help="report format (sarif = SARIF 2.1.0 for "
                          "code-scanning upload)")
     ap.add_argument("--output", default=None,
                     help="write the report to FILE instead of stdout")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="disable the per-file result cache under "
-                         "<repo>/.ansmet_cache/lint/")
-    ap.add_argument("--changed-only", action="store_true",
-                    help="lint only files changed vs git HEAD (plus "
-                         "untracked); the cross-file lock-order pass "
-                         "then sees only those files — CI runs the "
-                         "full scan")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule table and exit")
     args = ap.parse_args(argv)
@@ -2104,36 +1772,7 @@ def main(argv=None):
     repo_root = os.path.abspath(
         args.repo or
         os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-    build_dir = args.build_dir or os.path.join(repo_root, "build")
-
-    cindex = None
-    if args.engine in ("auto", "libclang"):
-        cindex = try_import_libclang()
-        if cindex is None:
-            if args.engine == "libclang":
-                print("ansmet_lint: libclang python bindings not found;"
-                      " SKIPPING AST engine (install python3-clang)",
-                      file=sys.stderr)
-                return 0
-            print("ansmet_lint: libclang python bindings not found; "
-                  "falling back to the built-in lexer (lexical "
-                  "findings are a superset of the AST engine's)",
-                  file=sys.stderr)
-
-    engine = "libclang" if cindex is not None else "lexical"
     files = collect_files(repo_root, args.paths)
-    if args.changed_only:
-        changed = git_changed_files(repo_root)
-        if changed is None:
-            print("ansmet_lint: git diff unavailable; linting "
-                  "everything", file=sys.stderr)
-        else:
-            files = [p for p in files
-                     if os.path.abspath(p) in changed]
-            if not files:
-                print(f"ansmet_lint: no changed files "
-                      f"({engine} engine)")
-                return 0
     if not files:
         print("ansmet_lint: no input files", file=sys.stderr)
         return 2
@@ -2148,38 +1787,11 @@ def main(argv=None):
             print(f"ansmet_lint: cannot read {path}: {e}",
                   file=sys.stderr)
             return 2
-        rel = os.path.relpath(path, repo_root)
-        cpath = None
-        if not args.no_cache:
-            cpath = _cache_path(repo_root, rel, text, engine)
-            entry = _cache_load(cpath)
-            if entry is not None:
-                cached, funcs, waived = _deserialize_entry(rel, entry)
-                findings.extend(cached)
-                lock_facts.append((rel, funcs, waived))
-                continue
-        tu = None
-        if cindex is not None:
-            try:
-                tu = clang_parse(cindex, path, text,
-                                 compile_args_for(path, build_dir))
-                tokens = clang_tokens(cindex, tu, path)
-            except Exception as e:
-                print(f"ansmet_lint: libclang failed on {path} ({e}); "
-                      f"using the built-in lexer", file=sys.stderr)
-                tu = None
-                tokens = lex_tokens(text)
-        else:
-            tokens = lex_tokens(text)
         file_findings, funcs, waived = lint_file(path, repo_root,
-                                                 tokens)
-        if tu is not None:
-            file_findings = ast_refine(cindex, tu, file_findings)
+                                                 lex_tokens(text))
         findings.extend(file_findings)
-        lock_facts.append((rel, funcs, waived))
-        if cpath is not None:
-            _cache_store(cpath, _serialize_entry(file_findings, funcs,
-                                                 waived))
+        lock_facts.append((os.path.relpath(path, repo_root), funcs,
+                           waived))
     check_lock_order(lock_facts, findings)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
@@ -2187,24 +1799,24 @@ def main(argv=None):
         if args.output else sys.stdout
     try:
         if args.format == "sarif":
-            json.dump(sarif_report(findings, engine), out, indent=2)
+            json.dump(sarif_report(findings), out, indent=2)
             out.write("\n")
         else:
             for finding in findings:
                 print(finding.render(), file=out)
             if not findings:
-                print(f"ansmet_lint: clean ({len(files)} files, "
-                      f"{engine} engine)", file=out)
+                print(f"ansmet_lint: clean ({len(files)} files)",
+                      file=out)
     finally:
         if args.output:
             out.close()
     if findings:
         print(f"ansmet_lint: {len(findings)} finding(s) over "
-              f"{len(files)} files ({engine} engine)", file=sys.stderr)
+              f"{len(files)} files", file=sys.stderr)
         return 1
     if args.format == "sarif":
-        print(f"ansmet_lint: clean ({len(files)} files, "
-              f"{engine} engine)", file=sys.stderr)
+        print(f"ansmet_lint: clean ({len(files)} files)",
+              file=sys.stderr)
     return 0
 
 
