@@ -1,8 +1,10 @@
 #include "common/runtime/core_set.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -43,11 +45,10 @@ CoreSet::parse(const char *spec)
         return cs;
     const std::string s(spec);
     std::size_t pos = 0;
-    auto push_unique = [&cs](unsigned core) {
-        for (const unsigned c : cs.cores_)
-            if (c == core)
-                return;
-        cs.cores_.push_back(core);
+    std::unordered_set<unsigned> seen; // linear even for "0-100000"
+    auto push_unique = [&cs, &seen](unsigned core) {
+        if (seen.insert(core).second)
+            cs.cores_.push_back(core);
     };
     while (pos < s.size()) {
         std::size_t used = 0;
@@ -96,7 +97,13 @@ CoreSet::configured()
     // queried before any runtime thread exists; nothing mutates the env.
     if (const char *env = std::getenv("ANSMET_CORES")) {
         CoreSet cs = parse(env);
-        if (cs.size() > 0)
+        // A core the machine does not have would cost a lane that
+        // cannot be pinned; 0 means the count is unknown.
+        const unsigned hw = std::thread::hardware_concurrency();
+        const bool exists =
+            hw == 0 || std::all_of(cs.cores_.begin(), cs.cores_.end(),
+                                   [hw](unsigned c) { return c < hw; });
+        if (cs.size() > 0 && exists)
             return cs;
         ANSMET_WARN("ignoring invalid ANSMET_CORES value");
     }

@@ -1,16 +1,15 @@
 /**
  * @file
- * Topology-ordered core set for the task runtime.
+ * The core set a runtime occupies.
  *
- * A CoreSet names the logical CPUs the runtime may occupy, in the
- * order workers are created — which is also the victim order for work
- * stealing, so "adjacent in the set" should mean "cheap to steal from"
- * (same core complex / NUMA node). The set comes from the ANSMET_CORES
- * environment variable, a comma-separated list of core ids and ranges
- * ("0,2,4-7", "6-4" enumerates downward); when unset, the runtime
- * falls back to an identity set sized by ANSMET_THREADS (or hardware
- * concurrency), and workers float unpinned. Only an explicit
- * ANSMET_CORES pins worker threads to their cores.
+ * A CoreSet names the logical CPUs the runtime may occupy, in lane
+ * order. The set comes from the ANSMET_CORES environment variable, a
+ * comma-separated list of core ids and ranges ("0,2,4-7", "6-4"
+ * enumerates downward); when it is unset or names a core the machine
+ * does not have, the runtime falls back to an identity set sized by
+ * ANSMET_THREADS (or hardware concurrency), and workers float
+ * unpinned. Only an explicit ANSMET_CORES pins worker threads to their
+ * cores.
  *
  * Lane 0 is always the *caller's* lane: a CoreSet of size n yields
  * n - 1 worker threads (on cores_[1..n-1]) plus the submitting thread,
@@ -32,7 +31,8 @@ class CoreSet
 
     /**
      * ANSMET_CORES if set and valid (pinned, in the given order);
-     * otherwise identity(configuredLanes()) (unpinned).
+     * otherwise identity(configuredLanes()) (unpinned). A spec naming
+     * a core id >= hardware concurrency is invalid as a whole.
      */
     static CoreSet configured();
 

@@ -5,6 +5,9 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/logging.h"
 #include "common/runtime/runtime.h"
@@ -84,11 +87,20 @@ ExperimentContext::buildOrLoadIndex()
 
     std::error_code ec;
     std::filesystem::create_directories(cacheDir(), ec);
-    if (!ec) {
-        std::ofstream out(path, std::ios::binary);
-        if (out)
-            index_->save(out);
-    }
+    if (ec)
+        return;
+    // Write a private temp file and rename it into place: processes
+    // sharing the cache (ctest -j) must never load a half-written graph.
+    auto tmp = path;
+    tmp += ".tmp." + std::to_string(::getpid());
+    std::ofstream out(tmp, std::ios::binary);
+    if (out)
+        index_->save(out);
+    out.close();
+    if (out)
+        std::filesystem::rename(tmp, path, ec);
+    if (!out || ec)
+        std::filesystem::remove(tmp, ec);
 }
 
 const std::vector<std::vector<anns::Neighbor>> &

@@ -8,6 +8,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/experiment.h"
 
@@ -100,6 +103,16 @@ TEST_F(ExperimentTest, GraphCacheRoundTrips)
                   ctx().traces()[i].numComparisons());
     }
     EXPECT_EQ(again.efSearch(), ctx().efSearch());
+
+    // The graph reached the cache through a temp file renamed into
+    // place; none of this process's temp files may be left behind.
+    // (Other test processes may be mid-write in the same directory.)
+    const std::string suffix = ".tmp." + std::to_string(::getpid());
+    for (const auto &entry :
+         std::filesystem::directory_iterator(".ansmet_test_cache")) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_FALSE(name.ends_with(suffix)) << name;
+    }
 }
 
 TEST_F(ExperimentTest, PreprocessingTimeIsRecorded)

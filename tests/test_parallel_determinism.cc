@@ -5,12 +5,13 @@
  * produce results bit-identical to the single-threaded reference path
  * for a fixed seed.
  *
- * The serial reference is obtained by running the stage as a task of
- * a private runtime: runtime work is flagged thread-local, so every
- * nested runtime::parallelFor degrades to a plain inline loop —
- * exactly the ANSMET_THREADS=1 code path — while the parallel run on
- * the main thread uses the full global runtime. On a single-core
- * machine both sides are serial and the tests pass trivially.
+ * The serial reference is obtained by running the stage as the body
+ * of a one-lane private runtime's parallelFor: bodies are flagged
+ * thread-local, so every nested runtime::parallelFor degrades to a
+ * plain inline loop — exactly the ANSMET_THREADS=1 code path — while
+ * the parallel run on the main thread uses the full global runtime. On
+ * a single-core machine both sides are serial and the tests pass
+ * trivially.
  */
 
 #include <gtest/gtest.h>
@@ -37,14 +38,10 @@ template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    runtime::RuntimeConfig cfg;
-    cfg.cores = runtime::CoreSet::identity(2);
-    runtime::Runtime sandbox(std::move(cfg));
+    runtime::Runtime sandbox(runtime::CoreSet::identity(1));
     std::optional<decltype(fn())> out;
-    runtime::TaskGroup group(sandbox);
-    group.run(runtime::kAnyLane,
-              runtime::Task::Fn{[&fn, &out] { out.emplace(fn()); }});
-    group.wait();
+    sandbox.parallelFor(0, 1,
+                        [&](std::size_t, std::size_t) { out.emplace(fn()); });
     return std::move(*out);
 }
 

@@ -1,13 +1,10 @@
 /**
  * @file
- * Task runtime tests: channel SPSC/MPSC/steal stress (the tsan job
- * runs these under -fsanitize=thread), bounded-channel backpressure
- * (tasks are never dropped), affinity-hint placement with stealing
- * disabled, the one-lane inline fast path, drain-then-join shutdown
- * with the submit-after-shutdown CHECK, TaskGroup join/exception
- * semantics, result identity across lane counts, and parallelFor used
- * as a plain worker pool (range coverage, nesting, exceptions, repeated
- * rounds).
+ * Runtime tests: CoreSet parsing and configuration, the one-lane inline
+ * path, parked workers waking for trickled calls, the nesting rule
+ * across runtimes, result identity across lane counts, and parallelFor
+ * used as a plain worker pool (range coverage, nesting, exceptions,
+ * repeated rounds). The tsan job runs them under -fsanitize=thread.
  */
 
 #include <gtest/gtest.h>
@@ -23,21 +20,10 @@
 #include <vector>
 
 #include "common/runtime/core_set.h"
-#include "common/runtime/mpsc_channel.h"
 #include "common/runtime/runtime.h"
 
 namespace ansmet::runtime {
 namespace {
-
-RuntimeConfig
-config(unsigned lanes, std::size_t capacity = 1024, bool steal = true)
-{
-    RuntimeConfig cfg;
-    cfg.cores = CoreSet::identity(lanes);
-    cfg.channelCapacity = capacity;
-    cfg.steal = steal;
-    return cfg;
-}
 
 // --------------------------------------------------------------------
 // CoreSet
@@ -84,188 +70,14 @@ TEST(CoreSet, IdentityIsUnpinned)
 }
 
 // --------------------------------------------------------------------
-// MpscChannel
+// Runtime: inline path, parking, nesting across runtimes
 // --------------------------------------------------------------------
-
-TEST(MpscChannel, FifoSingleProducerSingleConsumer)
-{
-    MpscChannel<std::uint64_t> ch(64);
-    constexpr std::uint64_t kN = 100000;
-    std::thread producer([&ch] {
-        for (std::uint64_t i = 0; i < kN; ++i)
-            while (!ch.tryPush(std::uint64_t{i}))
-                std::this_thread::yield();
-    });
-    std::uint64_t expect = 0;
-    while (expect < kN) {
-        std::uint64_t v = 0;
-        if (!ch.tryPop(v)) {
-            std::this_thread::yield();
-            continue;
-        }
-        ASSERT_EQ(v, expect); // SPSC degenerates to strict FIFO
-        ++expect;
-    }
-    producer.join();
-    std::uint64_t v = 0;
-    EXPECT_FALSE(ch.tryPop(v));
-}
-
-TEST(MpscChannel, MultiProducerKeepsPerProducerOrderAndDropsNothing)
-{
-    MpscChannel<std::uint64_t> ch(128);
-    constexpr unsigned kProducers = 4;
-    constexpr std::uint64_t kPerProducer = 50000;
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (unsigned p = 0; p < kProducers; ++p)
-        producers.emplace_back([&ch, p] {
-            for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-                const std::uint64_t tagged = (std::uint64_t{p} << 32) | i;
-                while (!ch.tryPush(std::uint64_t{tagged}))
-                    std::this_thread::yield();
-            }
-        });
-    std::vector<std::uint64_t> next_seq(kProducers, 0);
-    std::uint64_t popped = 0;
-    while (popped < kProducers * kPerProducer) {
-        std::uint64_t v = 0;
-        if (!ch.tryPop(v)) {
-            std::this_thread::yield();
-            continue;
-        }
-        const unsigned p = static_cast<unsigned>(v >> 32);
-        const std::uint64_t seq = v & 0xffffffffu;
-        ASSERT_LT(p, kProducers);
-        ASSERT_EQ(seq, next_seq[p]) << "producer " << p;
-        ++next_seq[p];
-        ++popped;
-    }
-    for (auto &t : producers)
-        t.join();
-}
-
-TEST(MpscChannel, ConcurrentStealersDrainEverythingExactlyOnce)
-{
-    // The steal path makes the consumer side multi-participant; hammer
-    // it with several poppers racing the producers.
-    MpscChannel<std::uint64_t> ch(64);
-    constexpr unsigned kProducers = 2;
-    constexpr unsigned kConsumers = 3;
-    constexpr std::uint64_t kPerProducer = 40000;
-    constexpr std::uint64_t kTotal = kProducers * kPerProducer;
-    std::atomic<std::uint64_t> popped{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < kProducers; ++p)
-        threads.emplace_back([&ch, p] {
-            for (std::uint64_t i = 0; i < kPerProducer; ++i)
-                while (!ch.tryPush(p * kPerProducer + i))
-                    std::this_thread::yield();
-        });
-    for (unsigned c = 0; c < kConsumers; ++c)
-        threads.emplace_back([&ch, &popped, &sum] {
-            while (popped.load(std::memory_order_acquire) < kTotal) {
-                std::uint64_t v = 0;
-                if (ch.tryPop(v)) {
-                    sum.fetch_add(v, std::memory_order_relaxed);
-                    popped.fetch_add(1, std::memory_order_acq_rel);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(popped.load(), kTotal);
-    EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2); // each value once
-}
-
-TEST(MpscChannel, TryPushLeavesValueIntactWhenFull)
-{
-    MpscChannel<std::vector<int>> ch(2);
-    ASSERT_TRUE(ch.tryPush(std::vector<int>{1}));
-    ASSERT_TRUE(ch.tryPush(std::vector<int>{2}));
-    std::vector<int> keep{3, 4, 5};
-    ASSERT_FALSE(ch.tryPush(std::move(keep)));
-    EXPECT_EQ(keep.size(), 3u); // backpressure retries reuse the task
-}
-
-// --------------------------------------------------------------------
-// Runtime: backpressure, placement, inline path, shutdown
-// --------------------------------------------------------------------
-
-TEST(Runtime, BackpressureNeverDropsTasks)
-{
-    // Capacity 4 with thousands of external posts: every push beyond
-    // capacity must either help-drain or wait, never drop.
-    Runtime rt(config(/*lanes=*/3, /*capacity=*/4));
-    constexpr unsigned kTasks = 20000;
-    std::atomic<unsigned> ran{0};
-    TaskGroup group(rt);
-    for (unsigned t = 0; t < kTasks; ++t)
-        group.run(t, Task::Fn{[&ran] {
-                      ran.fetch_add(1, std::memory_order_relaxed);
-                  }});
-    group.wait();
-    EXPECT_EQ(ran.load(), kTasks);
-}
-
-TEST(Runtime, WorkerSidePostsSurviveFullChannels)
-{
-    // Tasks that fan out from inside workers overflow the tiny
-    // channels; the worker-producer path must run them inline instead
-    // of deadlocking on its own full channel.
-    Runtime rt(config(/*lanes=*/2, /*capacity=*/2));
-    std::atomic<unsigned> ran{0};
-    TaskGroup group(rt);
-    for (unsigned t = 0; t < 64; ++t)
-        group.run(t, Task::Fn{[&rt, &group, &ran] {
-                      for (unsigned c = 0; c < 8; ++c)
-                          group.run(c, Task::Fn{[&ran] {
-                                        ran.fetch_add(
-                                            1, std::memory_order_relaxed);
-                                    }});
-                      ran.fetch_add(1, std::memory_order_relaxed);
-                  }});
-    group.wait();
-    EXPECT_EQ(ran.load(), 64u * 9u);
-}
-
-TEST(Runtime, AffinityHintPlacesTasksWhenStealingIsOff)
-{
-    constexpr unsigned kWorkers = 3;
-    Runtime rt(config(kWorkers + 1, 1024, /*steal=*/false));
-    ASSERT_EQ(rt.numWorkers(), kWorkers);
-    constexpr unsigned kTasks = 300;
-    std::vector<std::uint32_t> ran_on(kTasks, kAnyLane);
-    TaskGroup group(rt);
-    for (unsigned t = 0; t < kTasks; ++t)
-        group.run(t, Task::Fn{[&ran_on, t] {
-                      ran_on[t] = Runtime::currentWorker();
-                  }});
-    group.wait();
-    for (unsigned t = 0; t < kTasks; ++t)
-        ASSERT_EQ(ran_on[t], t % kWorkers) << "task " << t;
-}
 
 TEST(Runtime, OneLaneRuntimeRunsEverythingInlineOnTheCaller)
 {
-    Runtime rt(config(1));
-    EXPECT_EQ(rt.numWorkers(), 0u);
+    Runtime rt(CoreSet::identity(1));
     EXPECT_EQ(rt.lanes(), 1u);
     const std::thread::id self = std::this_thread::get_id();
-    bool ran = false;
-    rt.post(Task{Task::Fn{[&ran, self] {
-                     ran = true;
-                     EXPECT_EQ(std::this_thread::get_id(), self);
-                     EXPECT_TRUE(Runtime::inRuntimeWork());
-                     EXPECT_EQ(Runtime::currentWorker(), kAnyLane);
-                 }},
-                 kAnyLane});
-    EXPECT_TRUE(ran);
-    EXPECT_FALSE(Runtime::inRuntimeWork());
-
     std::vector<unsigned> hits(100, 0);
     rt.parallelFor(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
         EXPECT_EQ(std::this_thread::get_id(), self);
@@ -276,91 +88,42 @@ TEST(Runtime, OneLaneRuntimeRunsEverythingInlineOnTheCaller)
         EXPECT_EQ(h, 1u);
 }
 
-TEST(Runtime, ShutdownDrainsAcceptedTasksBeforeJoining)
-{
-    constexpr unsigned kTasks = 5000;
-    std::atomic<unsigned> ran{0};
-    {
-        Runtime rt(config(4));
-        for (unsigned t = 0; t < kTasks; ++t)
-            rt.post(Task{Task::Fn{[&ran] {
-                             ran.fetch_add(1, std::memory_order_relaxed);
-                         }},
-                         t});
-        rt.shutdown(); // must drain, not abandon
-        EXPECT_EQ(ran.load(), kTasks);
-        rt.shutdown(); // idempotent
-    }
-    EXPECT_EQ(ran.load(), kTasks);
-}
-
-TEST(RuntimeDeathTest, PostAfterShutdownIsFatal)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // One lane: no worker threads in the parent, so the death-test
-    // fork is clean.
-    Runtime rt(config(1));
-    rt.shutdown();
-    EXPECT_DEATH(rt.post(Task{Task::Fn{[] {}}, kAnyLane}),
-                 "post on a stopped runtime");
-}
-
 TEST(Runtime, ParkedWorkersWakeForTrickledWork)
 {
-    // Slow trickle with gaps well past the spin budget: every post
-    // must un-park a worker (a lost wakeup hangs this test).
-    Runtime rt(config(3));
+    // Small calls with gaps long enough for the workers to park: every
+    // call must wake them (a lost wakeup hangs this test).
+    Runtime rt(CoreSet::identity(3));
     std::atomic<unsigned> ran{0};
-    TaskGroup group(rt);
     for (unsigned t = 0; t < 50; ++t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        group.run(kAnyLane, Task::Fn{[&ran] {
-                      ran.fetch_add(1, std::memory_order_relaxed);
-                  }});
+        rt.parallelFor(
+            0, 4,
+            [&ran](std::size_t lo, std::size_t hi) {
+                ran.fetch_add(static_cast<unsigned>(hi - lo),
+                              std::memory_order_relaxed);
+            },
+            /*grain=*/1);
     }
-    group.wait();
-    EXPECT_EQ(ran.load(), 50u);
+    EXPECT_EQ(ran.load(), 200u);
 }
 
-// --------------------------------------------------------------------
-// TaskGroup
-// --------------------------------------------------------------------
-
-TEST(TaskGroup, WaitRethrowsFirstTaskError)
+TEST(Runtime, BodyOfAnyRuntimeRunsNestedGlobalCallsInline)
 {
-    Runtime rt(config(4));
-    TaskGroup group(rt);
-    std::atomic<unsigned> ran{0};
-    for (unsigned t = 0; t < 100; ++t)
-        group.run(t, Task::Fn{[&ran, t] {
-                      ran.fetch_add(1, std::memory_order_relaxed);
-                      if (t == 37)
-                          throw std::runtime_error("task 37 failed");
-                  }});
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 100u); // the failure does not cancel siblings
-}
-
-TEST(TaskGroup, WaitFromInsideAWorkerHelpsInsteadOfDeadlocking)
-{
-    // A group task that itself forks-and-joins a subgroup: with one
-    // worker, the subgroup's tasks sit on that worker's own channel,
-    // so its wait() must help-drain them.
-    Runtime rt(config(2));
-    std::atomic<unsigned> ran{0};
-    TaskGroup outer(rt);
-    outer.run(0, Task::Fn{[&rt, &ran] {
-                  TaskGroup inner(rt);
-                  for (unsigned c = 0; c < 16; ++c)
-                      inner.run(c, Task::Fn{[&ran] {
-                                    ran.fetch_add(
-                                        1, std::memory_order_relaxed);
-                                }});
-                  inner.wait();
-                  ran.fetch_add(1, std::memory_order_relaxed);
-              }});
-    outer.wait();
-    EXPECT_EQ(ran.load(), 17u);
+    // The contract the tests' runSerial sandbox relies on: inside the
+    // body of a one-lane private runtime's parallelFor, a call on the
+    // global runtime runs as one inline call.
+    Runtime sandbox(CoreSet::identity(1));
+    const std::thread::id self = std::this_thread::get_id();
+    unsigned calls = 0;
+    sandbox.parallelFor(0, 1, [&](std::size_t, std::size_t) {
+        runtime::parallelFor(0, 1000, [&](std::size_t lo, std::size_t hi) {
+            ++calls;
+            EXPECT_EQ(lo, 0u);
+            EXPECT_EQ(hi, 1000u);
+            EXPECT_EQ(std::this_thread::get_id(), self);
+        });
+    });
+    EXPECT_EQ(calls, 1u);
 }
 
 // --------------------------------------------------------------------
@@ -372,7 +135,7 @@ TEST(TaskGroup, WaitFromInsideAWorkerHelpsInsteadOfDeadlocking)
 std::uint64_t
 checksumWithLanes(unsigned lanes)
 {
-    Runtime rt(config(lanes));
+    Runtime rt(CoreSet::identity(lanes));
     constexpr std::size_t kN = 4096;
     std::vector<std::uint64_t> slot(kN, 0);
     rt.parallelFor(0, kN, [&](std::size_t lo, std::size_t hi) {
@@ -382,16 +145,16 @@ checksumWithLanes(unsigned lanes)
             slot[i] = x;
         }
     });
-    TaskGroup group(rt);
     std::vector<std::uint64_t> partial(16, 0);
-    for (unsigned p = 0; p < 16; ++p)
-        group.run(p, Task::Fn{[&slot, &partial, p] {
-                      const std::size_t chunk = kN / 16;
-                      for (std::size_t i = p * chunk; i < (p + 1) * chunk;
-                           ++i)
-                          partial[p] += slot[i];
-                  }});
-    group.wait();
+    rt.parallelFor(
+        0, partial.size(),
+        [&](std::size_t lo, std::size_t hi) {
+            const std::size_t chunk = kN / partial.size();
+            for (std::size_t p = lo; p < hi; ++p)
+                for (std::size_t i = p * chunk; i < (p + 1) * chunk; ++i)
+                    partial[p] += slot[i];
+        },
+        /*grain=*/1);
     // Canonical serial reduction order.
     return std::accumulate(partial.begin(), partial.end(),
                            std::uint64_t{0});
@@ -411,7 +174,7 @@ TEST(Runtime, ResultsAreIdenticalAcrossLaneCounts)
 
 TEST(Runtime, ParallelForCoversEveryIndexExactlyOnce)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     constexpr std::size_t kN = 10000;
     std::vector<std::atomic<unsigned>> hits(kN);
     rt.parallelFor(
@@ -427,7 +190,7 @@ TEST(Runtime, ParallelForCoversEveryIndexExactlyOnce)
 
 TEST(Runtime, NestedParallelForRunsInline)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     std::atomic<unsigned> outer{0};
     std::atomic<unsigned> inner{0};
     rt.parallelFor(0, 8, [&](std::size_t lo, std::size_t hi) {
@@ -447,7 +210,7 @@ TEST(Runtime, NestedParallelForRunsInline)
 
 TEST(Runtime, ParallelForPropagatesFirstException)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     std::atomic<unsigned> ran{0};
     EXPECT_THROW(
         rt.parallelFor(0, 1000,
@@ -470,7 +233,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
     // Every pool size from the inline one-lane path up.
     for (unsigned lanes = 1; lanes <= 4; ++lanes) {
-        Runtime rt(config(lanes));
+        Runtime rt(CoreSet::identity(lanes));
         constexpr std::size_t kN = 10000;
         std::vector<std::atomic<unsigned>> hits(kN);
         rt.parallelFor(
@@ -488,7 +251,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 
 TEST(ThreadPool, ParallelForHonorsNonZeroBegin)
 {
-    Runtime rt(config(3));
+    Runtime rt(CoreSet::identity(3));
     std::atomic<std::size_t> sum{0};
     rt.parallelFor(100, 200, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
@@ -499,7 +262,7 @@ TEST(ThreadPool, ParallelForHonorsNonZeroBegin)
 
 TEST(ThreadPool, EmptyRangeNeverInvokesBody)
 {
-    Runtime rt(config(2));
+    Runtime rt(CoreSet::identity(2));
     bool called = false;
     rt.parallelFor(5, 5, [&](std::size_t, std::size_t) { called = true; });
     rt.parallelFor(7, 3, [&](std::size_t, std::size_t) { called = true; });
@@ -508,7 +271,7 @@ TEST(ThreadPool, EmptyRangeNeverInvokesBody)
 
 TEST(ThreadPool, ParallelForPropagatesFirstExceptionAndCompletes)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     constexpr std::size_t kN = 512;
     std::vector<std::atomic<unsigned>> hits(kN);
     EXPECT_THROW(rt.parallelFor(
@@ -528,7 +291,7 @@ TEST(ThreadPool, ParallelForPropagatesFirstExceptionAndCompletes)
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     constexpr std::size_t kOuter = 64;
     constexpr std::size_t kInner = 100;
     std::vector<std::size_t> sums(kOuter, 0);
@@ -549,7 +312,7 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
 
 TEST(ThreadPool, SingleThreadPoolRunsInlineInOneCall)
 {
-    Runtime rt(config(1));
+    Runtime rt(CoreSet::identity(1));
     EXPECT_EQ(rt.lanes(), 1u);
     const std::thread::id self = std::this_thread::get_id();
     unsigned calls = 0;
@@ -566,9 +329,27 @@ TEST(ThreadPool, ConfiguredThreadsReadsEnv)
 {
     const char *saved = std::getenv("ANSMET_THREADS");
     const std::string saved_val = saved ? saved : "";
+    const char *saved_cores = std::getenv("ANSMET_CORES");
+    const std::string saved_cores_val = saved_cores ? saved_cores : "";
+    ::unsetenv("ANSMET_CORES");
 
     ::setenv("ANSMET_THREADS", "3", 1);
     EXPECT_EQ(CoreSet::configuredLanes(), 3u);
+
+    // A spec naming cores the machine does not have falls back to the
+    // unpinned identity set; an existing core pins its one lane.
+    ::setenv("ANSMET_CORES", "0-100000", 1);
+    const CoreSet fallback = CoreSet::configured();
+    EXPECT_EQ(fallback.size(), CoreSet::configuredLanes());
+    EXPECT_FALSE(fallback.pinned());
+    for (unsigned i = 0; i < fallback.size(); ++i)
+        EXPECT_EQ(fallback[i], i);
+    ::setenv("ANSMET_CORES", "0", 1);
+    const CoreSet pinned = CoreSet::configured();
+    EXPECT_EQ(pinned.size(), 1u);
+    EXPECT_TRUE(pinned.pinned());
+    ::unsetenv("ANSMET_CORES");
+
     ::setenv("ANSMET_THREADS", "1", 1);
     EXPECT_EQ(CoreSet::configuredLanes(), 1u);
 
@@ -576,13 +357,14 @@ TEST(ThreadPool, ConfiguredThreadsReadsEnv)
     {
         Runtime rt;
         EXPECT_EQ(rt.lanes(), 1u);
-        EXPECT_EQ(rt.numWorkers(), 0u);
     }
 
     if (saved)
         ::setenv("ANSMET_THREADS", saved_val.c_str(), 1);
     else
         ::unsetenv("ANSMET_THREADS");
+    if (saved_cores)
+        ::setenv("ANSMET_CORES", saved_cores_val.c_str(), 1);
 }
 
 TEST(ThreadPool, ManySequentialParallelFors)
@@ -590,7 +372,7 @@ TEST(ThreadPool, ManySequentialParallelFors)
     // Regression guard for job publication/unpublication races: the
     // same runtime must survive many back-to-back loops with results
     // identical to serial accumulation.
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     std::size_t total = 0;
     for (unsigned round = 0; round < 200; ++round) {
         std::atomic<std::size_t> sum{0};
@@ -614,7 +396,7 @@ TEST(ThreadPool, ManySequentialParallelFors)
 
 TEST(ThreadPoolStress, NestedParallelForRunsEveryIteration)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     constexpr std::size_t kOuter = 64;
     constexpr std::size_t kInner = 64;
     std::vector<std::atomic<int>> hits(kOuter * kInner);
@@ -642,7 +424,7 @@ TEST(ThreadPoolStress, NestedParallelForRunsEveryIteration)
 
 TEST(ThreadPoolStress, ExceptionFromManyChunksPropagatesOnce)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     for (int round = 0; round < 50; ++round) {
         std::atomic<std::size_t> ran{0};
         bool threw = false;
@@ -667,7 +449,7 @@ TEST(ThreadPoolStress, ExceptionFromManyChunksPropagatesOnce)
 
 TEST(ThreadPoolStress, SequentialParallelForsStayDeterministic)
 {
-    Runtime rt(config(4));
+    Runtime rt(CoreSet::identity(4));
     std::vector<std::size_t> out(4096);
     for (int round = 0; round < 20; ++round) {
         rt.parallelFor(0, out.size(), [&](std::size_t lo, std::size_t hi) {

@@ -37,20 +37,17 @@ envSeed()
     return s ? std::strtoull(s, nullptr, 10) : 1;
 }
 
-/** Run @p fn as a task of a private runtime: every nested parallel
- *  entry point degrades to the serial (ANSMET_THREADS=1) code path. */
+/** Run @p fn as the body of a one-lane private runtime's parallelFor:
+ *  every nested parallelFor degrades to the serial (ANSMET_THREADS=1)
+ *  code path. */
 template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    runtime::RuntimeConfig cfg;
-    cfg.cores = runtime::CoreSet::identity(2);
-    runtime::Runtime sandbox(std::move(cfg));
+    runtime::Runtime sandbox(runtime::CoreSet::identity(1));
     std::optional<decltype(fn())> out;
-    runtime::TaskGroup group(sandbox);
-    group.run(runtime::kAnyLane,
-              runtime::Task::Fn{[&fn, &out] { out.emplace(fn()); }});
-    group.wait();
+    sandbox.parallelFor(0, 1,
+                        [&](std::size_t, std::size_t) { out.emplace(fn()); });
     return std::move(*out);
 }
 

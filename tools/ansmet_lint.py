@@ -27,9 +27,10 @@ conventions that neither the compiler nor clang-tidy checks:
                            thread-safety analysis sees every lock.
                            Likewise no direct std::thread / std::jthread
                            / std::async outside src/common/runtime/ —
-                           threads are spawned only by the task runtime
-                           so worker count, affinity, and shutdown stay
-                           centralized (std::this_thread is fine).
+                           parallel work goes through
+                           runtime::parallelFor, so worker count and
+                           core affinity stay centralized
+                           (std::this_thread is fine).
   R5  ansmet-eventcapture  No std::function inside the arguments of a
                            schedule()/scheduleIn() call in the
                            simulator-hot directories (src/sim, src/ndp,
@@ -146,9 +147,9 @@ BANNED_SYNC = {
 SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
 
 # R4 (thread-spawn half): raw std::thread / std::jthread / std::async
-# outside the task runtime. Centralizing thread creation is what keeps
-# worker count, core affinity, the nested-inline rules, and
-# drain-then-join shutdown coherent.
+# outside the runtime. Centralizing thread creation in
+# runtime::parallelFor is what keeps worker count, core affinity and
+# the nested-inline rule coherent.
 # (`std::this_thread` lexes as the single identifier `this_thread` and
 # is deliberately not banned — yield/sleep_for are fine anywhere.)
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
@@ -203,7 +204,7 @@ _MUTATING_METHODS = {"pop", "tryPop", "push", "tryPush", "tryOffer",
                      "store", "exchange", "fetch_add", "fetch_sub",
                      "next"}
 
-# R12: parking calls banned inside deferred callbacks (TaskGroup::wait
+# R12: parking calls banned inside deferred callbacks (CondVar::wait
 # and friends); lock RAII comes from LOCK_CLASSES above.
 _BLOCKING_WAITS = {"wait", "waitAll"}
 
@@ -607,10 +608,9 @@ def check_raw_sync(path, tokens, waived, findings):
         else:
             findings.append(Finding(
                 path, tok.line, "R4",
-                f"raw std::{tok.spelling}: spawn through the task runtime "
-                f"(common/runtime/Runtime, TaskGroup, parallelFor) so "
-                f"worker count, core affinity, and drain-then-join "
-                f"shutdown stay centralized"))
+                f"raw std::{tok.spelling}: run parallel work through "
+                f"runtime::parallelFor (common/runtime/runtime.h) so "
+                f"worker count and core affinity stay centralized"))
 
 
 def check_event_capture(path, tokens, waived, findings):

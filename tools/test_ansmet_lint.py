@@ -225,7 +225,7 @@ class R4RawSyncTest(LintRunMixin, unittest.TestCase):
         code, out, _ = self.run_lint(p)
         self.assertEqual(code, 1)
         self.assertIn("ansmet-rawsync", out)
-        self.assertIn("task runtime", out)
+        self.assertIn("runtime::parallelFor", out)
 
     def test_std_async_outside_runtime_flags(self):
         p = self.write("src/anns/builder.cc",
@@ -236,9 +236,9 @@ class R4RawSyncTest(LintRunMixin, unittest.TestCase):
         self.assertIn("std::async", out)
 
     def test_std_thread_inside_runtime_is_exempt(self):
-        p = self.write("src/common/runtime/worker.h",
+        p = self.write("src/common/runtime/runtime.h",
                        "#include <thread>\n"
-                       "class Worker { std::thread thread_; };\n")
+                       "class Runtime { std::thread worker_; };\n")
         code, _, _ = self.run_lint(p)
         self.assertEqual(code, 0)
 
@@ -707,7 +707,7 @@ class R12CbBlockTest(LintRunMixin, unittest.TestCase):
     def test_wait_in_oncomplete_flags(self):
         p = self.write(
             "src/ndp/task.cc",
-            "void f(NdpTask &t, TaskGroup &grp) {\n"
+            "void f(NdpTask &t) {\n"
             "    t.onComplete = [this] { grp_.wait(); };\n"
             "}\n")
         code, out, _ = self.run_lint(p)

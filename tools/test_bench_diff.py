@@ -140,18 +140,6 @@ class SpeedupMode(TempFiles):
         self.assertIn("3.00x", r.stdout)
         self.assertNotIn("fig06_ndp", r.stdout)
 
-    def test_flat_task_tier_pairs_against_flat(self):
-        f = self.write("r.json", bench_json([
-            ("runtime_steal/flat", 300.0),
-            ("runtime_steal/task", 100.0),
-            ("runtime_affinity/local/task", 50.0),  # no flat sibling
-        ]))
-        r = run_tool("--speedup", f, "--min-ratio", "1.3",
-                     "--require", "runtime_steal/task")
-        self.assertEqual(r.returncode, 0)
-        self.assertIn("3.00x", r.stdout)
-        self.assertNotIn("affinity", r.stdout)
-
     def test_scalar_baseline_wins_over_ref(self):
         # A family carrying both baselines pairs against scalar.
         f = self.write("m.json", bench_json([
