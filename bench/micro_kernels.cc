@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot kernels: distance
- * computation, sortable-key codecs, bound accumulation, layout
- * transformation, and per-comparison fetch simulation. These are the
- * loops the whole experiment pipeline spends its host time in.
+ * computation, sortable-key codecs, interval staging, bound
+ * accumulation, layout transformation, and per-comparison fetch
+ * simulation. These are the loops the whole experiment pipeline spends
+ * its host time in.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "et/fetchsim.h"
 #include "et/layout.h"
 #include "et/profile.h"
+#include "et/sortable.h"
 
 namespace {
 
@@ -287,6 +289,34 @@ BM_KernelBound(benchmark::State &state, const anns::KernelOps *ops,
 }
 
 void
+BM_KernelPrefixIntervals(benchmark::State &state, const anns::KernelOps *ops,
+                         anns::ScalarType t)
+{
+    const KernelBenchData &data = kernelData(t);
+    const anns::PrefixIntervalsFn fn =
+        ops->prefixIntervals[anns::typeIndex(t)];
+    // One fetched line's worth of staging per iteration: a row's keys
+    // at half the key width known, rows cycling as in a scan.
+    std::vector<std::uint32_t> keys(kKernelRows * kKernelDims);
+    for (VectorId v = 0; v < kKernelRows; ++v) {
+        et::toKeys(t, data.vs.raw(v), kKernelDims,
+                   keys.data() + std::size_t{v} * kKernelDims);
+    }
+    const unsigned known = et::keyBits(t) / 2;
+    std::vector<double> lo(kKernelDims), hi(kKernelDims);
+    VectorId v = 0;
+    for (auto _ : state) {
+        fn(keys.data() + std::size_t{v} * kKernelDims, kKernelDims, known,
+           lo.data(), hi.data());
+        benchmark::DoNotOptimize(lo.data());
+        benchmark::DoNotOptimize(hi.data());
+        benchmark::ClobberMemory();
+        v = (v + 1) % kKernelRows;
+    }
+    state.SetItemsProcessed(state.iterations() * kKernelDims);
+}
+
+void
 BM_KernelNormalize(benchmark::State &state, const anns::KernelOps *ops)
 {
     const KernelBenchData &data = kernelData(anns::ScalarType::kFp32);
@@ -327,6 +357,9 @@ registerKernelBenches()
             benchmark::RegisterBenchmark(
                 ("kernel_ip_batch/" + ty + "/" + tier).c_str(),
                 BM_KernelBatchDist, ops, t, false);
+            benchmark::RegisterBenchmark(
+                ("kernel_prefix_intervals/" + ty + "/" + tier).c_str(),
+                BM_KernelPrefixIntervals, ops, t);
         }
         benchmark::RegisterBenchmark(
             ("kernel_bound_l2/" + tier).c_str(), BM_KernelBound, ops,

@@ -73,6 +73,14 @@ makeScalarOps()
     ops.normalize = scalarNormalize;
     ops.boundL2 = scalarBound<true>;
     ops.boundIp = scalarBound<false>;
+    ops.prefixIntervals[typeIndex(ScalarType::kUint8)] =
+        scalarPrefixIntervals<ScalarType::kUint8>;
+    ops.prefixIntervals[typeIndex(ScalarType::kInt8)] =
+        scalarPrefixIntervals<ScalarType::kInt8>;
+    ops.prefixIntervals[typeIndex(ScalarType::kFp16)] =
+        scalarPrefixIntervals<ScalarType::kFp16>;
+    ops.prefixIntervals[typeIndex(ScalarType::kFp32)] =
+        scalarPrefixIntervals<ScalarType::kFp32>;
     return ops;
 }
 

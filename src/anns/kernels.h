@@ -4,11 +4,11 @@
  *
  * Every hot inner loop of the host pipeline — distance computation,
  * batched multi-vector distance, L2 normalization, and the ET layer's
- * interval-bound tightening — is provided as a table of function
- * pointers (KernelOps), with one table per ISA tier (scalar reference,
- * AVX2, AVX-512). The active table is resolved once, at first use,
- * from CPU detection plus the ANSMET_KERNEL environment override
- * (scalar | avx2 | avx512) for A/B testing.
+ * interval staging and bound tightening — is provided as a table of
+ * function pointers (KernelOps), with one table per ISA tier (scalar
+ * reference, AVX2, AVX-512). The active table is resolved once, at
+ * first use, from CPU detection plus the ANSMET_KERNEL environment
+ * override (scalar | avx2 | avx512) for A/B testing.
  *
  * ## Determinism and the conservative-bound contract
  *
@@ -76,6 +76,19 @@ using BoundBatchFn = double (*)(const float *q, double *lo, double *hi,
                                 double *contrib, const double *nlo,
                                 const double *nhi, unsigned n);
 
+/**
+ * Interval staging for one fetched line: the value range each element
+ * can take once the top @p known bits of its sortable key are known.
+ * For each i in [0, n), with w the key width of the table slot's type
+ * and 1 <= known <= w, [lo[i], hi[i]] equals, bitwise,
+ *   et::intervalFromPrefix(t, keys[i] >> (w - known), known):
+ * the key with its low w - known bits cleared, then set, each end
+ * clamped to the finite range and decoded exactly to double. The
+ * scalar tier is the et/sortable.h codec itself.
+ */
+using PrefixIntervalsFn = void (*)(const std::uint32_t *keys, unsigned n,
+                                   unsigned known, double *lo, double *hi);
+
 /** One ISA tier's kernel table; entries indexed by ScalarType. */
 struct KernelOps
 {
@@ -87,6 +100,7 @@ struct KernelOps
     void (*normalize)(float *v, unsigned d) = nullptr;
     BoundBatchFn boundL2 = nullptr;
     BoundBatchFn boundIp = nullptr;
+    PrefixIntervalsFn prefixIntervals[4] = {};
 };
 
 /** Index into the per-type kernel arrays. */

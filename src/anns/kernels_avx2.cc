@@ -208,6 +208,53 @@ boundAvx2(const float *q, double *lo, double *hi, double *contrib,
     return reduceLanes(lanes);
 }
 
+/**
+ * Decode eight fp32 sortable keys to doubles at @p out: unsigned
+ * min/max clamp to the finite key range, then the sign select of
+ * et::fromKey (a set top bit marks a non-negative value: clear it;
+ * otherwise invert), then the exact float -> double widening.
+ */
+inline void
+storeFp32Values8(__m256i key, double *out)
+{
+    const __m256i max_key = _mm256_set1_epi32(static_cast<int>(
+        et::clampKeyFinite(ScalarType::kFp32, ~std::uint32_t{0})));
+    const __m256i min_key = _mm256_set1_epi32(static_cast<int>(
+        et::clampKeyFinite(ScalarType::kFp32, 0)));
+    const __m256i k =
+        _mm256_max_epu32(_mm256_min_epu32(key, max_key), min_key);
+    const __m256 raw = _mm256_blendv_ps(
+        _mm256_castsi256_ps(_mm256_xor_si256(k, _mm256_set1_epi32(-1))),
+        _mm256_castsi256_ps(
+            _mm256_and_si256(k, _mm256_set1_epi32(0x7fffffff))),
+        _mm256_castsi256_ps(k));
+    _mm256_storeu_pd(out, _mm256_cvtps_pd(_mm256_castps256_ps128(raw)));
+    _mm256_storeu_pd(out + 4,
+                     _mm256_cvtps_pd(_mm256_extractf128_ps(raw, 1)));
+}
+
+/** Interval staging; fp32 runs eight keys per step, the rest scalar. */
+template <ScalarType T>
+void
+prefixIntervalsAvx2(const std::uint32_t *keys, unsigned n, unsigned known,
+                    double *lo, double *hi)
+{
+    unsigned main = 0;
+    if constexpr (T == ScalarType::kFp32) {
+        const __m256i mask = _mm256_set1_epi32(
+            static_cast<int>(maskLow(et::keyBits(T) - known)));
+        main = n & ~7u;
+        for (unsigned i = 0; i < main; i += 8) {
+            const __m256i lo_key = _mm256_andnot_si256(
+                mask, _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(keys + i)));
+            storeFp32Values8(lo_key, lo + i);
+            storeFp32Values8(_mm256_or_si256(lo_key, mask), hi + i);
+        }
+    }
+    prefixIntervalsTail<T>(keys, main, n, known, lo, hi);
+}
+
 constexpr KernelOps
 makeAvx2Ops()
 {
@@ -240,6 +287,14 @@ makeAvx2Ops()
     ops.normalize = normalizeAvx2;
     ops.boundL2 = boundAvx2<true>;
     ops.boundIp = boundAvx2<false>;
+    ops.prefixIntervals[typeIndex(ScalarType::kUint8)] =
+        prefixIntervalsAvx2<ScalarType::kUint8>;
+    ops.prefixIntervals[typeIndex(ScalarType::kInt8)] =
+        prefixIntervalsAvx2<ScalarType::kInt8>;
+    ops.prefixIntervals[typeIndex(ScalarType::kFp16)] =
+        prefixIntervalsAvx2<ScalarType::kFp16>;
+    ops.prefixIntervals[typeIndex(ScalarType::kFp32)] =
+        prefixIntervalsAvx2<ScalarType::kFp32>;
     return ops;
 }
 

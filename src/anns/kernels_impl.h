@@ -2,9 +2,10 @@
  * @file
  * Private shared pieces of the kernel translation units: the typed
  * element loader, the canonical 16-lane reduction, and the scalar
- * reference loops. The SIMD TUs reuse the scalar loops for tails (the
- * final d % 16 elements) so every tier performs bit-identical math —
- * see kernels.h for the canonical-order contract.
+ * reference loops (interval staging is the header-only et/sortable.h
+ * codec, so it adds no link dependency). The SIMD TUs reuse the scalar
+ * loops for tails (the final d % 16 elements) so every tier performs
+ * bit-identical math — see kernels.h for the canonical-order contract.
  *
  * Not installed API: include only from kernels*.cc.
  */
@@ -17,6 +18,8 @@
 
 #include "anns/kernels.h"
 #include "anns/scalar.h"
+#include "common/bitops.h"
+#include "et/sortable.h"
 
 namespace ansmet::anns::kernel_detail {
 
@@ -149,6 +152,33 @@ scalarBound(const float *q, double *lo, double *hi, double *contrib,
     double lanes[kLanes] = {};
     boundTail<IsL2>(q, lo, hi, contrib, nlo, nhi, 0, n, lanes);
     return reduceLanes(lanes);
+}
+
+/**
+ * Interval staging over elements [begin, end) through the et/sortable.h
+ * codec (see PrefixIntervalsFn); the SIMD tiers reuse it for tails and
+ * for the types they do not vectorize.
+ */
+template <ScalarType T>
+inline void
+prefixIntervalsTail(const std::uint32_t *keys, unsigned begin, unsigned end,
+                    unsigned known, double *lo, double *hi)
+{
+    const auto mask =
+        static_cast<std::uint32_t>(maskLow(et::keyBits(T) - known));
+    for (unsigned i = begin; i < end; ++i) {
+        const std::uint32_t lo_key = keys[i] & ~mask;
+        lo[i] = et::keyToValue(T, et::clampKeyFinite(T, lo_key));
+        hi[i] = et::keyToValue(T, et::clampKeyFinite(T, lo_key | mask));
+    }
+}
+
+template <ScalarType T>
+void
+scalarPrefixIntervals(const std::uint32_t *keys, unsigned n, unsigned known,
+                      double *lo, double *hi)
+{
+    prefixIntervalsTail<T>(keys, 0, n, known, lo, hi);
 }
 
 /** Batch driver shared by the tiers: per-row distance over an id list. */

@@ -3,6 +3,7 @@
 #include <limits>
 #include <mutex>
 
+#include "anns/kernels.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -76,14 +77,16 @@ schemeName(EtScheme s)
 namespace {
 
 /**
- * Per-thread comparison scratch: a reusable bound accumulator plus the
- * interval staging arrays the batched bound kernel consumes. One-time
- * allocation per thread; simulate() then runs allocation-free no
- * matter how many comparisons it performs.
+ * Per-thread comparison scratch: a reusable bound accumulator, the
+ * sub-vector's sortable keys, and the interval staging arrays the
+ * batched bound kernel consumes. One-time allocation per thread;
+ * simulate() then runs allocation-free no matter how many comparisons
+ * it performs.
  */
 struct SimScratch
 {
     BoundAccumulator acc;
+    std::vector<std::uint32_t> keys;
     std::vector<double> nlo;
     std::vector<double> nhi;
 
@@ -91,6 +94,7 @@ struct SimScratch
     arm(unsigned dims)
     {
         if (nlo.size() < dims) {
+            keys.resize(dims);
             nlo.resize(dims);
             nhi.resize(dims);
         }
@@ -135,15 +139,15 @@ FetchSimulator::FetchSimulator(const anns::VectorSet &vs,
                                const EtProfile *profile)
     : vs_(vs), metric_(metric), scheme_(scheme), profile_(profile),
       plan_(planFor(scheme, vs.type(), vs.dims(), profile)),
-      global_range_{-std::numeric_limits<double>::max() / 4,
-                    std::numeric_limits<double>::max() / 4}
+      global_range_(profile ? profile->globalRange : globalValueRange(vs))
 {
     ANSMET_CHECK(plan_.valid());
-    if (profile)
-        global_range_ = profile->globalRange;
     if (scheme == EtScheme::kOpt) {
         pe_ = std::make_unique<PrefixElimination>(profile->commonPrefix,
                                                   vs);
+        // A normal vector then knows exactly the plan's key bits after
+        // every line, which simulateRange stages a line at a time.
+        ANSMET_CHECK(pe_->prefix().length == plan_.prefixLen);
     }
 }
 
@@ -208,7 +212,6 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     res.exactDist = anns::distance(metric_, query, vs_, v);
     res.accepted = res.exactDist < threshold;
 
-    const unsigned w = keyBits(vs_.type());
     ComparisonRecord rec(plan.totalLines());
 
     if (!checksBounds()) {
@@ -220,30 +223,33 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     }
 
     // The local bound covers only this rank's dims; all others keep
-    // their conservative initial contribution. The accumulator and the
-    // interval staging arrays are leased from the per-thread scratch,
-    // so a comparison allocates nothing.
+    // their conservative initial contribution. The accumulator, the
+    // keys and the interval staging arrays are leased from the
+    // per-thread scratch, so a comparison allocates nothing.
+    const ScalarType type = vs_.type();
+    const unsigned n = dim_end - dim_begin;
     SimScratch &scratch = t_scratch;
     scratch.arm(vs_.dims());
     BoundAccumulator &acc = scratch.acc;
     acc.reset(metric_, query, vs_.dims(), global_range_);
+    std::uint32_t *const keys = scratch.keys.data();
     double *const nlo = scratch.nlo.data();
     double *const nhi = scratch.nhi.data();
     FetchCursor cursor(plan);
+
+    // Every element's key is extracted once; each fetch step then
+    // stages intervals from it with the kernel table's staging op.
+    toKeys(type, vs_.raw(v) + dim_begin * anns::scalarBytes(type), n,
+           keys);
+    const anns::PrefixIntervalsFn stage =
+        anns::kernels().prefixIntervals[anns::typeIndex(type)];
 
     // The eliminated common prefix is known on-chip before any fetch
     // for normal vectors; outlier vectors reveal nothing up front.
     const bool is_outlier = pe_ && pe_->vectorIsOutlier(v);
     if (pe_ && !is_outlier && plan.prefixLen > 0) {
-        for (unsigned d = dim_begin; d < dim_end; ++d) {
-            const ValueInterval iv = intervalFromPrefix(
-                vs_.type(), toKey(vs_.type(), vs_.bitsAt(v, d)) >>
-                                (w - plan.prefixLen),
-                plan.prefixLen);
-            nlo[d - dim_begin] = iv.lo;
-            nhi[d - dim_begin] = iv.hi;
-        }
-        acc.updateBatch(dim_begin, dim_end - dim_begin, nlo, nhi);
+        stage(keys, n, plan.prefixLen, nlo, nhi);
+        acc.updateBatch(dim_begin, n, nlo, nhi);
     }
 
     // Each fetch step may only tighten the conservative bound; a
@@ -261,31 +267,32 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
                       " of ", plan.totalLines());
 
         // Stage the whole line's intervals, then tighten them in one
-        // batched kernel pass. A dimension that learned nothing keeps
-        // an infinite interval: the intersection is a no-op and its
-        // delta is exactly zero, so skipped dims cost nothing.
-        for (unsigned sd = info.dimBegin; sd < info.dimEnd; ++sd) {
-            const unsigned d = dim_begin + sd;
-            const unsigned slot = sd - info.dimBegin;
-            unsigned known = info.knownBitsAfter;
-            if (pe_) {
-                const unsigned fetched =
-                    info.knownBitsAfter - plan.prefixLen;
-                known = pe_->knownLen(v, d, fetched);
+        // batched kernel pass. Every element of a normal vector knows
+        // the plan's prefix length (for kOpt, the eliminated prefix
+        // plus the fetched bits), so the line stages in one call.
+        const unsigned line_n = info.dimEnd - info.dimBegin;
+        if (!is_outlier) {
+            stage(keys + info.dimBegin, line_n, info.knownBitsAfter, nlo,
+                  nhi);
+        } else {
+            // An outlier vector's elements each know their own prefix
+            // length. One that learned nothing keeps an infinite
+            // interval: the intersection is a no-op and its delta is
+            // exactly zero, so it costs nothing.
+            const unsigned fetched = info.knownBitsAfter - plan.prefixLen;
+            for (unsigned slot = 0; slot < line_n; ++slot) {
+                const unsigned sd = info.dimBegin + slot;
+                const unsigned known =
+                    pe_->knownLen(v, dim_begin + sd, fetched);
+                if (known == 0) {
+                    nlo[slot] = -std::numeric_limits<double>::infinity();
+                    nhi[slot] = std::numeric_limits<double>::infinity();
+                } else {
+                    stage(keys + sd, 1, known, nlo + slot, nhi + slot);
+                }
             }
-            if (known == 0) {
-                nlo[slot] = -std::numeric_limits<double>::infinity();
-                nhi[slot] = std::numeric_limits<double>::infinity();
-                continue;
-            }
-            const std::uint32_t key = toKey(vs_.type(), vs_.bitsAt(v, d));
-            const ValueInterval iv =
-                intervalFromPrefix(vs_.type(), key >> (w - known), known);
-            nlo[slot] = iv.lo;
-            nhi[slot] = iv.hi;
         }
-        acc.updateBatch(dim_begin + info.dimBegin,
-                        info.dimEnd - info.dimBegin, nlo, nhi);
+        acc.updateBatch(dim_begin + info.dimBegin, line_n, nlo, nhi);
 
         ANSMET_DCHECK(acc.lowerBound() >= prev_bound,
                       "lower bound regressed across a fetch step: ",
@@ -322,9 +329,7 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     // uncompressed backup copy.
     if (is_outlier) {
         res.backupLines = static_cast<unsigned>(
-            divCeil(static_cast<std::uint64_t>(dim_end - dim_begin) *
-                        keyBits(vs_.type()),
-                    512));
+            divCeil(static_cast<std::uint64_t>(n) * keyBits(type), 512));
         rec.backupLines = res.backupLines;
     }
 

@@ -65,8 +65,8 @@ class FetchSimulator
     /**
      * @param profile preprocessing output; required for kDual/kOpt,
      *        optional otherwise (kNone..kHeuristic only need the
-     *        global range for IP, which a null profile approximates
-     *        with a wide interval)
+     *        global range for IP, which without a profile is taken
+     *        over @p vs here, as buildProfile() does)
      */
     FetchSimulator(const anns::VectorSet &vs, anns::Metric metric,
                    EtScheme scheme, const EtProfile *profile);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "anns/kernels.h"
 #include "common/check.h"
 #include "common/prng.h"
 #include "et/bounds.h"
@@ -45,34 +46,45 @@ sampleThreshold(const anns::VectorSet &vs, anns::Metric metric,
 }
 
 /**
+ * Buffers of the pET sweep, reused across every sampled pair so the
+ * sweep allocates once.
+ */
+struct EtPositionScratch
+{
+    BoundAccumulator acc;
+    std::vector<std::uint32_t> keys;
+    std::vector<double> nlo;
+    std::vector<double> nhi;
+
+    explicit EtPositionScratch(unsigned dims)
+        : keys(dims), nlo(dims), nhi(dims)
+    {
+    }
+};
+
+/**
  * pET of one (query, vector) pair: the smallest uniform per-element
  * prefix length whose bound exceeds the threshold; W+1 if none.
  */
 unsigned
 etPosition(const anns::VectorSet &vs, anns::Metric metric, const float *q,
-           VectorId v, double threshold, ValueInterval global_range)
+           VectorId v, double threshold, ValueInterval global_range,
+           EtPositionScratch &s)
 {
-    const unsigned w = keyBits(vs.type());
+    const ScalarType type = vs.type();
+    const unsigned w = keyBits(type);
     const unsigned d = vs.dims();
-    BoundAccumulator acc(metric, q, d, global_range);
-
-    std::vector<std::uint32_t> keys(d);
-    for (unsigned i = 0; i < d; ++i)
-        keys[i] = toKey(vs.type(), vs.bitsAt(v, i));
+    s.acc.reset(metric, q, d, global_range);
+    toKeys(type, vs.raw(v), d, s.keys.data());
 
     // One batched kernel pass per prefix length: stage every
     // dimension's refined interval, then tighten them all at once.
-    std::vector<double> nlo(d), nhi(d);
+    const anns::PrefixIntervalsFn stage =
+        anns::kernels().prefixIntervals[anns::typeIndex(type)];
     for (unsigned len = 1; len <= w; ++len) {
-        const unsigned shift = w - len;
-        for (unsigned i = 0; i < d; ++i) {
-            const ValueInterval iv =
-                intervalFromPrefix(vs.type(), keys[i] >> shift, len);
-            nlo[i] = iv.lo;
-            nhi[i] = iv.hi;
-        }
-        acc.updateBatch(0, d, nlo.data(), nhi.data());
-        if (acc.lowerBound() >= threshold)
+        stage(s.keys.data(), d, len, s.nlo.data(), s.nhi.data());
+        s.acc.updateBatch(0, d, s.nlo.data(), s.nhi.data());
+        if (s.acc.lowerBound() >= threshold)
             return len;
     }
     return w + 1;
@@ -195,6 +207,20 @@ klDivergence(const std::vector<double> &p, const std::vector<double> &q,
     return kl;
 }
 
+ValueInterval
+globalValueRange(const anns::VectorSet &vs)
+{
+    double lo = vs.at(0, 0), hi = lo;
+    for (std::size_t v = 0; v < vs.size(); ++v) {
+        for (unsigned d = 0; d < vs.dims(); ++d) {
+            const double x = vs.at(static_cast<VectorId>(v), d);
+            lo = std::min(lo, x);
+            hi = std::max(hi, x);
+        }
+    }
+    return {lo, hi};
+}
+
 EtProfile
 buildProfile(const anns::VectorSet &vs, anns::Metric metric,
              const ProfileConfig &cfg)
@@ -207,15 +233,7 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
 
     // Global element value range over the full set (needed for a sound
     // IP bound on unfetched dimensions).
-    double lo = vs.at(0, 0), hi = lo;
-    for (std::size_t v = 0; v < vs.size(); ++v) {
-        for (unsigned d = 0; d < vs.dims(); ++d) {
-            const double x = vs.at(static_cast<VectorId>(v), d);
-            lo = std::min(lo, x);
-            hi = std::max(hi, x);
-        }
-    }
-    prof.globalRange = {lo, hi};
+    prof.globalRange = globalValueRange(vs);
 
     // Sample vectors.
     Prng rng(cfg.seed);
@@ -262,6 +280,7 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
 
     // ET positions over sampled (query, vector) pairs (Figure 3, red).
     std::vector<float> qbuf(vs.dims());
+    EtPositionScratch scratch(vs.dims());
     std::size_t pairs = 0;
     for (std::size_t i = 0; i < sample.size() && pairs < cfg.maxPairs; ++i) {
         vs.toFloat(sample[i], qbuf.data());
@@ -271,7 +290,7 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
                 continue;
             prof.etPositions.push_back(
                 etPosition(vs, metric, qbuf.data(), sample[j],
-                           prof.threshold, prof.globalRange));
+                           prof.threshold, prof.globalRange, scratch));
             ++pairs;
         }
     }

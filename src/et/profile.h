@@ -72,6 +72,12 @@ struct ProfileConfig
     std::uint64_t seed = 7;
 };
 
+/**
+ * Dataset-wide [min, max] element value of @p vs: what an IP bound
+ * assumes for a dimension none of whose bits have been fetched.
+ */
+ValueInterval globalValueRange(const anns::VectorSet &vs);
+
 /** Run the full preprocessing pass over @p vs. */
 EtProfile buildProfile(const anns::VectorSet &vs, anns::Metric metric,
                        const ProfileConfig &cfg = {});

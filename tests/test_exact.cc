@@ -9,6 +9,7 @@
 
 #include "anns/bruteforce.h"
 #include "anns/dataset.h"
+#include "common/check.h"
 #include "common/prng.h"
 #include "et/exact.h"
 #include "et/profile.h"
@@ -78,39 +79,50 @@ TEST(ExactKnnEt, SavingsGrowAsResultSetConverges)
 
 TEST(KmeansAssignEt, MatchesExhaustiveAssignment)
 {
-    const Fixture &f = fixture();
-    const auto &vs = *f.ds.base;
-    const unsigned k = 8;
+    // L2 (DEEP) and IP (GloVe), with the audit layer live: the
+    // profile-less simulator behind the scan must bound IP from the
+    // dataset's own value range and still save fetches.
+    const bool saved_audit = auditEnabled();
+    setAuditEnabled(true);
+    const anns::Dataset glove =
+        anns::makeDataset(DatasetId::kGlove, 1500, 10, 6);
+    for (const anns::Dataset *ds : {&fixture().ds, &glove}) {
+        const auto &vs = *ds->base;
+        const unsigned k = 8;
 
-    // Centroids: a few dataset vectors.
-    std::vector<float> centroids;
-    for (unsigned c = 0; c < k; ++c) {
-        const auto cv = vs.toFloat(static_cast<VectorId>(c * 137));
-        centroids.insert(centroids.end(), cv.begin(), cv.end());
-    }
-
-    ExactScanStats stats;
-    const auto assign =
-        kmeansAssignEt(vs, f.ds.metric(), centroids, k, &stats);
-
-    ASSERT_EQ(assign.size(), vs.size());
-    std::vector<float> buf(vs.dims());
-    for (std::size_t v = 0; v < vs.size(); v += 13) {
-        vs.toFloat(static_cast<VectorId>(v), buf.data());
-        double best = std::numeric_limits<double>::infinity();
-        unsigned best_c = 0;
+        // Centroids: a few dataset vectors.
+        std::vector<float> centroids;
         for (unsigned c = 0; c < k; ++c) {
-            const double d = anns::distance(
-                f.ds.metric(), centroids.data() + c * vs.dims(),
-                buf.data(), vs.dims());
-            if (d < best) {
-                best = d;
-                best_c = c;
-            }
+            const auto cv = vs.toFloat(static_cast<VectorId>(c * 137));
+            centroids.insert(centroids.end(), cv.begin(), cv.end());
         }
-        EXPECT_EQ(assign[v], best_c) << "vector " << v;
+
+        ExactScanStats stats;
+        const auto assign =
+            kmeansAssignEt(vs, ds->metric(), centroids, k, &stats);
+
+        ASSERT_EQ(assign.size(), vs.size());
+        std::vector<float> buf(vs.dims());
+        for (std::size_t v = 0; v < vs.size(); v += 13) {
+            vs.toFloat(static_cast<VectorId>(v), buf.data());
+            double best = std::numeric_limits<double>::infinity();
+            unsigned best_c = 0;
+            for (unsigned c = 0; c < k; ++c) {
+                const double d = anns::distance(
+                    ds->metric(), centroids.data() + c * vs.dims(),
+                    buf.data(), vs.dims());
+                if (d < best) {
+                    best = d;
+                    best_c = c;
+                }
+            }
+            EXPECT_EQ(assign[v], best_c)
+                << anns::metricName(ds->metric()) << " vector " << v;
+        }
+        EXPECT_LT(stats.linesFetched, stats.linesFull)
+            << anns::metricName(ds->metric());
     }
-    EXPECT_LT(stats.linesFetched, stats.linesFull);
+    setAuditEnabled(saved_audit);
 }
 
 } // namespace

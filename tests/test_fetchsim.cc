@@ -7,7 +7,9 @@
  *    layout, and the optimized schemes fetch less on prefix-friendly
  *    data;
  *  - the paper's scheme-specific observations (DimET unstable for IP,
- *    BitET wasteful at low dimensionality).
+ *    BitET wasteful at low dimensionality);
+ *  - bitwise identity with the per-element reference loop
+ *    (reference_fetchsim.h) across schemes, types and kernel tiers.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +17,18 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "anns/bruteforce.h"
 #include "anns/dataset.h"
+#include "anns/kernels.h"
+#include "common/check.h"
 #include "common/prng.h"
+#include "common/simd.h"
 #include "et/fetchsim.h"
 #include "et/profile.h"
+#include "reference_fetchsim.h"
 
 namespace ansmet::et {
 namespace {
@@ -485,6 +493,153 @@ TEST(FetchSimInvariants, BadDimensionRangePanics)
     const auto &q = w.ds.queries.front();
     EXPECT_DEATH(sim.simulateRange(q.data(), 0, 1.0, 5, 5),
                  "bad dimension range");
+}
+
+/**
+ * Vectors of @p type clustered in one binade, so a common key prefix
+ * exists, with one far element in every fifth vector: kOpt then
+ * eliminates a prefix and keeps those vectors as outliers.
+ */
+anns::VectorSet
+clusteredVectors(anns::ScalarType type, std::size_t n, unsigned dims,
+                 std::uint64_t seed)
+{
+    Prng rng(seed);
+    anns::VectorSet vs(n, dims, type);
+    for (std::size_t v = 0; v < n; ++v) {
+        for (unsigned d = 0; d < dims; ++d) {
+            const bool far = v % 5 == 0 && d == v % dims;
+            float x;
+            switch (type) {
+              case anns::ScalarType::kUint8:
+                x = far ? 200.0f : static_cast<float>(64 + rng.below(64));
+                break;
+              case anns::ScalarType::kInt8:
+                x = far ? -100.0f : static_cast<float>(64 + rng.below(64));
+                break;
+              default:
+                x = far ? -3.0f : static_cast<float>(rng.uniform(1.0, 1.99));
+            }
+            vs.set(static_cast<VectorId>(v), d, x);
+        }
+    }
+    return vs;
+}
+
+/**
+ * Run every comparison of @p vs against @p q through @p sim and the
+ * reference loop, on every kernel tier with audit off and on, and
+ * demand the six FetchResult fields match exactly.
+ */
+void
+expectMatchesReference(const FetchSimulator &sim, const anns::VectorSet &vs,
+                       anns::Metric metric, ValueInterval global_range,
+                       const std::vector<float> &q,
+                       const std::vector<double> &thresholds,
+                       const std::string &label)
+{
+    const unsigned dims = vs.dims();
+    std::vector<std::pair<unsigned, unsigned>> ranges = {{0, dims}};
+    for (unsigned r = 0; r < 4; ++r)
+        ranges.emplace_back(r * dims / 4, (r + 1) * dims / 4);
+
+    for (const SimdLevel level :
+         {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+        if (!anns::setKernelLevel(level))
+            continue;
+        for (const bool audit : {false, true}) {
+            setAuditEnabled(audit);
+            for (const auto &[b, e] : ranges) {
+                for (const double t : thresholds) {
+                    for (VectorId v = 0; v < vs.size(); ++v) {
+                        const FetchResult got =
+                            sim.simulateRange(q.data(), v, t, b, e);
+                        const FetchResult want =
+                            test::referenceSimulateRange(
+                                sim, vs, metric, global_range, q.data(),
+                                v, t, b, e);
+                        std::ostringstream where;
+                        where << label << " tier=" << simdLevelName(level)
+                              << " audit=" << audit << " dims=[" << b
+                              << "," << e << ") threshold=" << t
+                              << " v=" << v;
+                        EXPECT_EQ(got.lines, want.lines) << where.str();
+                        EXPECT_EQ(got.backupLines, want.backupLines)
+                            << where.str();
+                        EXPECT_EQ(got.terminatedEarly, want.terminatedEarly)
+                            << where.str();
+                        EXPECT_EQ(got.accepted, want.accepted)
+                            << where.str();
+                        EXPECT_EQ(got.exactDist, want.exactDist)
+                            << where.str();
+                        EXPECT_EQ(got.estimate, want.estimate)
+                            << where.str();
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FetchSimReference, StagedLinesMatchPerElementLoop)
+{
+    // The line-staged simulator against the per-element reference
+    // loop: every scheme (plus the null-profile path of the schemes
+    // that allow one), every type, both metrics, the full range and a
+    // four-way split, kOpt outlier and normal vectors, low, mid and
+    // infinite thresholds, every kernel tier, audit off and on.
+    constexpr std::size_t kN = 40;
+    const bool saved_audit = auditEnabled();
+    const SimdLevel saved_level = anns::activeKernelLevel();
+
+    for (const anns::ScalarType type :
+         {anns::ScalarType::kUint8, anns::ScalarType::kInt8,
+          anns::ScalarType::kFp16, anns::ScalarType::kFp32}) {
+        const anns::VectorSet vs = clusteredVectors(type, kN, 45, 5);
+        for (const anns::Metric metric :
+             {anns::Metric::kL2, anns::Metric::kIp}) {
+            ProfileConfig pc;
+            pc.numSamples = 20;
+            pc.maxPairs = 200;
+            pc.outlierFrac = 0.02;
+            const EtProfile prof = buildProfile(vs, metric, pc);
+
+            std::vector<float> q = vs.toFloat(3);
+            Prng rng(17);
+            for (float &x : q)
+                x += static_cast<float>(rng.uniform(-0.5, 0.5));
+            std::vector<double> dists;
+            for (VectorId v = 0; v < kN; ++v)
+                dists.push_back(anns::distance(metric, q.data(), vs, v));
+            std::sort(dists.begin(), dists.end());
+            const std::vector<double> thresholds = {
+                dists[kN / 10], dists[kN / 2],
+                std::numeric_limits<double>::infinity()};
+
+            for (const EtScheme scheme : allSchemes()) {
+                const std::string label =
+                    std::string(anns::scalarName(type)) + " " +
+                    anns::metricName(metric) + " " + schemeName(scheme);
+                const FetchSimulator sim(vs, metric, scheme, &prof);
+                if (scheme == EtScheme::kOpt) {
+                    const PrefixElimination *pe = sim.prefixElimination();
+                    ASSERT_GT(pe->prefix().length, 0u) << label;
+                    ASSERT_GT(pe->numOutlierVectors(), 0u) << label;
+                    ASSERT_LT(pe->numOutlierVectors(), kN) << label;
+                }
+                expectMatchesReference(sim, vs, metric, prof.globalRange,
+                                       q, thresholds, label);
+                if (scheme == EtScheme::kDual || scheme == EtScheme::kOpt)
+                    continue;
+                const FetchSimulator bare(vs, metric, scheme, nullptr);
+                expectMatchesReference(bare, vs, metric,
+                                       globalValueRange(vs), q, thresholds,
+                                       label + " null-profile");
+            }
+        }
+    }
+    anns::setKernelLevel(saved_level);
+    setAuditEnabled(saved_audit);
 }
 
 } // namespace

@@ -13,17 +13,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "anns/distance.h"
 #include "anns/kernels.h"
 #include "anns/vector.h"
+#include "common/bitops.h"
 #include "common/check.h"
 #include "common/prng.h"
 #include "common/simd.h"
 #include "et/bounds.h"
 #include "et/fetchsim.h"
+#include "et/profile.h"
 #include "et/sortable.h"
 
 namespace ansmet::anns {
@@ -300,6 +303,92 @@ TEST(KernelParity, BoundBatchMatchesScalarBitwise)
     }
 }
 
+/**
+ * Keys that stress the staging op's clamp and decode: for the float
+ * types ±0, denormals, the finite extremes next to the clamp, ±Inf
+ * and NaNs (as raw bit patterns); for every type the ends of the key
+ * space; then random keys to fill @p n slots.
+ */
+std::vector<std::uint32_t>
+stagingKeys(ScalarType t, unsigned n, Prng &rng)
+{
+    std::vector<std::uint32_t> raws;
+    if (t == ScalarType::kFp32) {
+        raws = {0x00000000u, 0x80000000u, 0x00000001u, 0x007fffffu,
+                0x80000001u, 0x807fffffu, 0x00800000u, 0x80800000u,
+                0x7f7fffffu, 0xff7fffffu, 0x7f7ffffeu, 0xff7ffffeu,
+                0x7f800000u, 0xff800000u, 0x7fc00000u, 0xffc00000u,
+                0x7f800001u, 0xff800001u, 0x7fffffffu, 0xffffffffu};
+    } else if (t == ScalarType::kFp16) {
+        raws = {0x0000u, 0x8000u, 0x0001u, 0x03ffu, 0x8001u, 0x83ffu,
+                0x0400u, 0x8400u, 0x7bffu, 0xfbffu, 0x7bfeu, 0xfbfeu,
+                0x7c00u, 0xfc00u, 0x7e00u, 0xfe00u, 0x7c01u, 0xfc01u,
+                0x7fffu, 0xffffu};
+    } else {
+        raws = {0x00u, 0x01u, 0x7fu, 0x80u, 0x81u, 0xfeu, 0xffu};
+    }
+    const unsigned w = et::keyBits(t);
+    const auto top = static_cast<std::uint32_t>(maskLow(w));
+    std::vector<std::uint32_t> keys;
+    for (const std::uint32_t r : raws)
+        keys.push_back(et::toKey(t, r));
+    for (const std::uint32_t k : {0u, 1u, top >> 1, (top >> 1) + 1, top})
+        keys.push_back(k);
+    while (keys.size() < n)
+        keys.push_back(static_cast<std::uint32_t>(rng.next()) & top);
+    keys.resize(n);
+    return keys;
+}
+
+TEST(KernelParity, PrefixIntervalsMatchIntervalFromPrefix)
+{
+    auto tiers = simdTiers();
+    tiers.push_back(kernel_detail::scalarKernels());
+
+    // Lengths that leave every 8- and 16-lane tail shape, up to a
+    // full 1-bit line (512 elements).
+    constexpr unsigned kMax = 512;
+    const unsigned lengths[] = {1,  2,  7,  8,  9,  15, 16,  17,
+                                23, 24, 31, 33, 45, 64, 85, kMax};
+    constexpr double kUntouched = 12345.5;
+
+    Prng rng(17);
+    for (const ScalarType t : kTypes) {
+        const unsigned w = et::keyBits(t);
+        const unsigned ti = typeIndex(t);
+        const auto keys = stagingKeys(t, kMax, rng);
+        std::vector<double> lo(kMax + 16), hi(kMax + 16);
+        for (const KernelOps *ops : tiers) {
+            ASSERT_NE(ops->prefixIntervals[ti], nullptr);
+            for (unsigned known = 1; known <= w; ++known) {
+                for (const unsigned n : lengths) {
+                    std::fill(lo.begin(), lo.end(), kUntouched);
+                    std::fill(hi.begin(), hi.end(), kUntouched);
+                    ops->prefixIntervals[ti](keys.data(), n, known,
+                                             lo.data(), hi.data());
+                    for (unsigned i = 0; i < n; ++i) {
+                        const et::ValueInterval want =
+                            et::intervalFromPrefix(
+                                t, keys[i] >> (w - known), known);
+                        EXPECT_EQ(lo[i], want.lo)
+                            << scalarName(t) << " tier="
+                            << simdLevelName(ops->level) << " known="
+                            << known << " n=" << n << " key=" << keys[i];
+                        EXPECT_EQ(hi[i], want.hi)
+                            << scalarName(t) << " tier="
+                            << simdLevelName(ops->level) << " known="
+                            << known << " n=" << n << " key=" << keys[i];
+                    }
+                    for (unsigned i = n; i < lo.size(); ++i) {
+                        EXPECT_EQ(lo[i], kUntouched) << "wrote past n=" << n;
+                        EXPECT_EQ(hi[i], kUntouched) << "wrote past n=" << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(KernelDispatch, OverrideAndRestore)
 {
     KernelLevelGuard guard;
@@ -332,6 +421,8 @@ TEST(KernelDispatch, KernelsForScalarAlwaysAvailable)
     EXPECT_NE(ops->normalize, nullptr);
     EXPECT_NE(ops->boundL2, nullptr);
     EXPECT_NE(ops->boundIp, nullptr);
+    for (const ScalarType t : kTypes)
+        EXPECT_NE(ops->prefixIntervals[typeIndex(t)], nullptr);
 }
 
 /**
@@ -358,13 +449,7 @@ TEST(BoundContract, NeverExceedsExactUnderAudit)
                 fillVector(vs, v, rng);
 
             // Dataset-wide value range (IP's fallback for unknowns).
-            double glo = vs.at(0, 0), ghi = glo;
-            for (VectorId v = 0; v < 8; ++v) {
-                for (unsigned d = 0; d < dims; ++d) {
-                    glo = std::min(glo, double{vs.at(v, d)});
-                    ghi = std::max(ghi, double{vs.at(v, d)});
-                }
-            }
+            const et::ValueInterval range = et::globalValueRange(vs);
 
             const auto q = vs.toFloat(0);
             for (const Metric m : {Metric::kL2, Metric::kIp}) {
@@ -373,8 +458,7 @@ TEST(BoundContract, NeverExceedsExactUnderAudit)
                         distance(m, q.data(), vs, v);
                     const double slack =
                         1e-6 * (1.0 + std::abs(exact));
-                    et::BoundAccumulator acc(m, q.data(), dims,
-                                             {glo, ghi});
+                    et::BoundAccumulator acc(m, q.data(), dims, range);
                     std::vector<double> nlo(dims), nhi(dims);
                     for (unsigned len = 1; len <= w; ++len) {
                         for (unsigned d = 0; d < dims; ++d) {
@@ -402,7 +486,8 @@ TEST(BoundContract, NeverExceedsExactUnderAudit)
 /**
  * End-to-end tier invariance: the fetch simulator must report the
  * exact same per-comparison outcome (lines fetched, termination,
- * estimate, decision) no matter which kernel tier computed it.
+ * estimate, decision) no matter which kernel tier computed it, for
+ * every scalar type (fp32 has its own SIMD interval staging).
  */
 TEST(BoundContract, FetchResultsIdenticalAcrossTiers)
 {
@@ -411,65 +496,47 @@ TEST(BoundContract, FetchResultsIdenticalAcrossTiers)
 
     Prng rng(16);
     const unsigned dims = 32;
-    VectorSet vs(32, dims, ScalarType::kFp16);
-    for (VectorId v = 0; v < 32; ++v)
-        fillVector(vs, v, rng);
-    const auto q = vs.toFloat(0);
+    for (const ScalarType t : kTypes) {
+        VectorSet vs(32, dims, t);
+        for (VectorId v = 0; v < 32; ++v)
+            fillVector(vs, v, rng);
+        const auto q = vs.toFloat(0);
 
-    // Minimal profile carrying the real dataset value range (IP's
-    // per-dim fallback); the null-profile ±DBL_MAX/4 range overflows
-    // the initial IP contribution at these query magnitudes.
-    et::EtProfile prof;
-    double glo = vs.at(0, 0), ghi = glo;
-    for (VectorId v = 0; v < 32; ++v) {
-        for (unsigned d = 0; d < dims; ++d) {
-            glo = std::min(glo, double{vs.at(v, d)});
-            ghi = std::max(ghi, double{vs.at(v, d)});
-        }
-    }
-    prof.globalRange = {glo, ghi};
+        for (const Metric m : {Metric::kL2, Metric::kIp}) {
+            for (const et::EtScheme scheme :
+                 {et::EtScheme::kBitSerial, et::EtScheme::kHeuristic}) {
+                // No profile: IP's bound on unfetched dimensions then
+                // starts from the dataset's own value range.
+                const et::FetchSimulator sim(vs, m, scheme, nullptr);
+                const double threshold =
+                    distance(m, q.data(), vs, 7); // plausible mid threshold
 
-    for (const Metric m : {Metric::kL2, Metric::kIp}) {
-        for (const et::EtScheme scheme :
-             {et::EtScheme::kBitSerial, et::EtScheme::kHeuristic}) {
-            const et::FetchSimulator sim(vs, m, scheme, &prof);
-            const double threshold =
-                distance(m, q.data(), vs, 7); // plausible mid threshold
-
-            struct Outcome
-            {
-                unsigned lines;
-                bool terminated, accepted;
-                double exact, estimate;
-            };
-            std::vector<std::vector<Outcome>> per_tier;
-            for (const SimdLevel level :
-                 {SimdLevel::kScalar, SimdLevel::kAvx2,
-                  SimdLevel::kAvx512}) {
-                if (!setKernelLevel(level))
-                    continue;
-                std::vector<Outcome> outs;
-                for (VectorId v = 1; v < 32; ++v) {
-                    const et::FetchResult r =
-                        sim.simulate(q.data(), v, threshold);
-                    outs.push_back({r.lines, r.terminatedEarly,
-                                    r.accepted, r.exactDist, r.estimate});
+                std::vector<std::vector<et::FetchResult>> per_tier;
+                for (const SimdLevel level :
+                     {SimdLevel::kScalar, SimdLevel::kAvx2,
+                      SimdLevel::kAvx512}) {
+                    if (!setKernelLevel(level))
+                        continue;
+                    std::vector<et::FetchResult> outs;
+                    for (VectorId v = 1; v < 32; ++v)
+                        outs.push_back(sim.simulate(q.data(), v, threshold));
+                    per_tier.push_back(std::move(outs));
                 }
-                per_tier.push_back(std::move(outs));
-            }
-            ASSERT_GE(per_tier.size(), 1u);
-            for (std::size_t tier = 1; tier < per_tier.size(); ++tier) {
-                for (std::size_t i = 0; i < per_tier[0].size(); ++i) {
-                    EXPECT_EQ(per_tier[tier][i].lines,
-                              per_tier[0][i].lines) << i;
-                    EXPECT_EQ(per_tier[tier][i].terminated,
-                              per_tier[0][i].terminated) << i;
-                    EXPECT_EQ(per_tier[tier][i].accepted,
-                              per_tier[0][i].accepted) << i;
-                    EXPECT_EQ(per_tier[tier][i].exact,
-                              per_tier[0][i].exact) << i;
-                    EXPECT_EQ(per_tier[tier][i].estimate,
-                              per_tier[0][i].estimate) << i;
+                ASSERT_GE(per_tier.size(), 1u);
+                for (std::size_t tier = 1; tier < per_tier.size(); ++tier) {
+                    for (std::size_t i = 0; i < per_tier[0].size(); ++i) {
+                        const et::FetchResult &a = per_tier[tier][i];
+                        const et::FetchResult &b = per_tier[0][i];
+                        EXPECT_EQ(a.lines, b.lines) << scalarName(t) << i;
+                        EXPECT_EQ(a.terminatedEarly, b.terminatedEarly)
+                            << scalarName(t) << i;
+                        EXPECT_EQ(a.accepted, b.accepted)
+                            << scalarName(t) << i;
+                        EXPECT_EQ(a.exactDist, b.exactDist)
+                            << scalarName(t) << i;
+                        EXPECT_EQ(a.estimate, b.estimate)
+                            << scalarName(t) << i;
+                    }
                 }
             }
         }
