@@ -299,8 +299,10 @@ BM_KernelPrefixIntervals(benchmark::State &state, const anns::KernelOps *ops,
     // at half the key width known, rows cycling as in a scan.
     std::vector<std::uint32_t> keys(kKernelRows * kKernelDims);
     for (VectorId v = 0; v < kKernelRows; ++v) {
-        et::toKeys(t, data.vs.raw(v), kKernelDims,
-                   keys.data() + std::size_t{v} * kKernelDims);
+        for (unsigned d = 0; d < kKernelDims; ++d) {
+            keys[std::size_t{v} * kKernelDims + d] =
+                et::toKey(t, data.vs.bitsAt(v, d));
+        }
     }
     const unsigned known = et::keyBits(t) / 2;
     std::vector<double> lo(kKernelDims), hi(kKernelDims);

@@ -233,26 +233,13 @@ storeFp32Values8(__m256i key, double *out)
                      _mm256_cvtps_pd(_mm256_extractf128_ps(raw, 1)));
 }
 
-/** Interval staging; fp32 runs eight keys per step, the rest scalar. */
+/** Interval staging of the types this tier leaves to the scalar codec. */
 template <ScalarType T>
 void
 prefixIntervalsAvx2(const std::uint32_t *keys, unsigned n, unsigned known,
                     double *lo, double *hi)
 {
-    unsigned main = 0;
-    if constexpr (T == ScalarType::kFp32) {
-        const __m256i mask = _mm256_set1_epi32(
-            static_cast<int>(maskLow(et::keyBits(T) - known)));
-        main = n & ~7u;
-        for (unsigned i = 0; i < main; i += 8) {
-            const __m256i lo_key = _mm256_andnot_si256(
-                mask, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i *>(keys + i)));
-            storeFp32Values8(lo_key, lo + i);
-            storeFp32Values8(_mm256_or_si256(lo_key, mask), hi + i);
-        }
-    }
-    prefixIntervalsTail<T>(keys, main, n, known, lo, hi);
+    prefixIntervalsTail<T>(keys, 0, n, known, lo, hi);
 }
 
 constexpr KernelOps
@@ -294,13 +281,30 @@ makeAvx2Ops()
     ops.prefixIntervals[typeIndex(ScalarType::kFp16)] =
         prefixIntervalsAvx2<ScalarType::kFp16>;
     ops.prefixIntervals[typeIndex(ScalarType::kFp32)] =
-        prefixIntervalsAvx2<ScalarType::kFp32>;
+        prefixIntervalsFp32Avx2;
     return ops;
 }
 
 const KernelOps g_avx2_ops = makeAvx2Ops();
 
 } // namespace
+
+void
+prefixIntervalsFp32Avx2(const std::uint32_t *keys, unsigned n,
+                        unsigned known, double *lo, double *hi)
+{
+    const __m256i mask = _mm256_set1_epi32(
+        static_cast<int>(maskLow(et::keyBits(ScalarType::kFp32) - known)));
+    const unsigned main = n & ~7u;
+    for (unsigned i = 0; i < main; i += 8) {
+        const __m256i lo_key = _mm256_andnot_si256(
+            mask,
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(keys + i)));
+        storeFp32Values8(lo_key, lo + i);
+        storeFp32Values8(_mm256_or_si256(lo_key, mask), hi + i);
+    }
+    prefixIntervalsTail<ScalarType::kFp32>(keys, main, n, known, lo, hi);
+}
 
 const KernelOps *
 avx2Kernels()

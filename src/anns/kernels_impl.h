@@ -181,6 +181,14 @@ scalarPrefixIntervals(const std::uint32_t *keys, unsigned n, unsigned known,
     prefixIntervalsTail<T>(keys, 0, n, known, lo, hi);
 }
 
+/**
+ * fp32 interval staging, eight keys per step (kernels_avx2.cc). The
+ * AVX-512 table points at it too: the -mavx512f build implies AVX2,
+ * and simdLevelSupported() selects that tier only on AVX2 CPUs.
+ */
+void prefixIntervalsFp32Avx2(const std::uint32_t *keys, unsigned n,
+                             unsigned known, double *lo, double *hi);
+
 /** Batch driver shared by the tiers: per-row distance over an id list. */
 template <RowDistFn Fn>
 void

@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "anns/distance.h"
@@ -203,6 +204,31 @@ class BoundAccumulator
     std::vector<double> hi_;
     std::vector<double> contrib_;
     double total_ = 0.0;
+};
+
+/**
+ * Buffers of one bound walk: a reusable accumulator, the vector's
+ * sortable keys and the intervals staged for the batched bound kernel.
+ * The fetch simulator keeps one per thread and the profile's pET sweep
+ * one per sweep, so a walk allocates nothing once they have grown.
+ */
+struct BoundScratch
+{
+    BoundAccumulator acc;
+    std::vector<std::uint32_t> keys;
+    std::vector<double> nlo;
+    std::vector<double> nhi;
+
+    /** Grow the key and staging buffers to at least @p dims entries. */
+    void
+    arm(unsigned dims)
+    {
+        if (nlo.size() < dims) {
+            keys.resize(dims);
+            nlo.resize(dims);
+            nhi.resize(dims);
+        }
+    }
 };
 
 /**

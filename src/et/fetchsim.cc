@@ -77,31 +77,11 @@ schemeName(EtScheme s)
 namespace {
 
 /**
- * Per-thread comparison scratch: a reusable bound accumulator, the
- * sub-vector's sortable keys, and the interval staging arrays the
- * batched bound kernel consumes. One-time allocation per thread;
+ * Per-thread comparison scratch. One-time allocation per thread;
  * simulate() then runs allocation-free no matter how many comparisons
  * it performs.
  */
-struct SimScratch
-{
-    BoundAccumulator acc;
-    std::vector<std::uint32_t> keys;
-    std::vector<double> nlo;
-    std::vector<double> nhi;
-
-    void
-    arm(unsigned dims)
-    {
-        if (nlo.size() < dims) {
-            keys.resize(dims);
-            nlo.resize(dims);
-            nhi.resize(dims);
-        }
-    }
-};
-
-thread_local SimScratch t_scratch;
+thread_local BoundScratch t_scratch;
 
 FetchPlanSpec
 planFor(EtScheme s, ScalarType t, unsigned dims, const EtProfile *prof)
@@ -228,7 +208,7 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     // per-thread scratch, so a comparison allocates nothing.
     const ScalarType type = vs_.type();
     const unsigned n = dim_end - dim_begin;
-    SimScratch &scratch = t_scratch;
+    BoundScratch &scratch = t_scratch;
     scratch.arm(vs_.dims());
     BoundAccumulator &acc = scratch.acc;
     acc.reset(metric_, query, vs_.dims(), global_range_);
@@ -239,8 +219,8 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
 
     // Every element's key is extracted once; each fetch step then
     // stages intervals from it with the kernel table's staging op.
-    toKeys(type, vs_.raw(v) + dim_begin * anns::scalarBytes(type), n,
-           keys);
+    for (unsigned i = 0; i < n; ++i)
+        keys[i] = toKey(type, vs_.bitsAt(v, dim_begin + i));
     const anns::PrefixIntervalsFn stage =
         anns::kernels().prefixIntervals[anns::typeIndex(type)];
 

@@ -46,36 +46,20 @@ sampleThreshold(const anns::VectorSet &vs, anns::Metric metric,
 }
 
 /**
- * Buffers of the pET sweep, reused across every sampled pair so the
- * sweep allocates once.
- */
-struct EtPositionScratch
-{
-    BoundAccumulator acc;
-    std::vector<std::uint32_t> keys;
-    std::vector<double> nlo;
-    std::vector<double> nhi;
-
-    explicit EtPositionScratch(unsigned dims)
-        : keys(dims), nlo(dims), nhi(dims)
-    {
-    }
-};
-
-/**
  * pET of one (query, vector) pair: the smallest uniform per-element
  * prefix length whose bound exceeds the threshold; W+1 if none.
  */
 unsigned
 etPosition(const anns::VectorSet &vs, anns::Metric metric, const float *q,
            VectorId v, double threshold, ValueInterval global_range,
-           EtPositionScratch &s)
+           BoundScratch &s)
 {
     const ScalarType type = vs.type();
     const unsigned w = keyBits(type);
     const unsigned d = vs.dims();
     s.acc.reset(metric, q, d, global_range);
-    toKeys(type, vs.raw(v), d, s.keys.data());
+    for (unsigned i = 0; i < d; ++i)
+        s.keys[i] = toKey(type, vs.bitsAt(v, i));
 
     // One batched kernel pass per prefix length: stage every
     // dimension's refined interval, then tighten them all at once.
@@ -280,7 +264,8 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
 
     // ET positions over sampled (query, vector) pairs (Figure 3, red).
     std::vector<float> qbuf(vs.dims());
-    EtPositionScratch scratch(vs.dims());
+    BoundScratch scratch;
+    scratch.arm(vs.dims());
     std::size_t pairs = 0;
     for (std::size_t i = 0; i < sample.size() && pairs < cfg.maxPairs; ++i) {
         vs.toFloat(sample[i], qbuf.data());

@@ -23,7 +23,6 @@
 #define ANSMET_ET_SORTABLE_H
 
 #include <cstdint>
-#include <cstring>
 
 #include "anns/scalar.h"
 #include "common/bitops.h"
@@ -56,40 +55,6 @@ toKey(ScalarType t, std::uint32_t raw)
         return (raw & 0x80000000u) ? ~raw : (raw | 0x80000000u);
     }
     return 0;
-}
-
-/**
- * Sortable keys of @p n consecutive elements of raw storage @p raw
- * (the layout of anns::VectorSet rows), switching on the type once.
- */
-inline void
-toKeys(ScalarType t, const std::uint8_t *raw, unsigned n,
-       std::uint32_t *keys)
-{
-    switch (t) {
-      case ScalarType::kUint8:
-        for (unsigned i = 0; i < n; ++i)
-            keys[i] = toKey(ScalarType::kUint8, raw[i]);
-        return;
-      case ScalarType::kInt8:
-        for (unsigned i = 0; i < n; ++i)
-            keys[i] = toKey(ScalarType::kInt8, raw[i]);
-        return;
-      case ScalarType::kFp16:
-        for (unsigned i = 0; i < n; ++i) {
-            std::uint16_t h;
-            std::memcpy(&h, raw + i * 2u, 2);
-            keys[i] = toKey(ScalarType::kFp16, h);
-        }
-        return;
-      case ScalarType::kFp32:
-        for (unsigned i = 0; i < n; ++i) {
-            std::uint32_t u;
-            std::memcpy(&u, raw + i * 4u, 4);
-            keys[i] = toKey(ScalarType::kFp32, u);
-        }
-        return;
-    }
 }
 
 /** Inverse of toKey(). */

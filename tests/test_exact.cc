@@ -13,6 +13,7 @@
 #include "common/prng.h"
 #include "et/exact.h"
 #include "et/profile.h"
+#include "test_guards.h"
 
 namespace ansmet::et {
 namespace {
@@ -82,8 +83,7 @@ TEST(KmeansAssignEt, MatchesExhaustiveAssignment)
     // L2 (DEEP) and IP (GloVe), with the audit layer live: the
     // profile-less simulator behind the scan must bound IP from the
     // dataset's own value range and still save fetches.
-    const bool saved_audit = auditEnabled();
-    setAuditEnabled(true);
+    const ansmet::test::AuditGuard audit(true);
     const anns::Dataset glove =
         anns::makeDataset(DatasetId::kGlove, 1500, 10, 6);
     for (const anns::Dataset *ds : {&fixture().ds, &glove}) {
@@ -122,7 +122,6 @@ TEST(KmeansAssignEt, MatchesExhaustiveAssignment)
         EXPECT_LT(stats.linesFetched, stats.linesFull)
             << anns::metricName(ds->metric());
     }
-    setAuditEnabled(saved_audit);
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "et/fetchsim.h"
 #include "et/profile.h"
 #include "reference_fetchsim.h"
+#include "test_guards.h"
 
 namespace ansmet::et {
 namespace {
@@ -589,8 +590,10 @@ TEST(FetchSimReference, StagedLinesMatchPerElementLoop)
     // four-way split, kOpt outlier and normal vectors, low, mid and
     // infinite thresholds, every kernel tier, audit off and on.
     constexpr std::size_t kN = 40;
-    const bool saved_audit = auditEnabled();
-    const SimdLevel saved_level = anns::activeKernelLevel();
+    // The passes below switch tier and audit mode; restore both
+    // however the test exits.
+    const ansmet::test::AuditGuard audit_guard(auditEnabled());
+    const ansmet::test::KernelLevelGuard level_guard;
 
     for (const anns::ScalarType type :
          {anns::ScalarType::kUint8, anns::ScalarType::kInt8,
@@ -638,8 +641,6 @@ TEST(FetchSimReference, StagedLinesMatchPerElementLoop)
             }
         }
     }
-    anns::setKernelLevel(saved_level);
-    setAuditEnabled(saved_audit);
 }
 
 } // namespace

@@ -28,6 +28,7 @@
 #include "et/fetchsim.h"
 #include "et/profile.h"
 #include "et/sortable.h"
+#include "test_guards.h"
 
 namespace ansmet::anns {
 namespace {
@@ -39,30 +40,8 @@ constexpr ScalarType kTypes[] = {ScalarType::kUint8, ScalarType::kInt8,
 // degenerate and GIST-sized cases.
 constexpr unsigned kDims[] = {1, 3, 95, 96, 97, 960};
 
-/** Restores the startup kernel tier on scope exit. */
-class KernelLevelGuard
-{
-  public:
-    KernelLevelGuard() : saved_(activeKernelLevel()) {}
-    ~KernelLevelGuard() { setKernelLevel(saved_); }
-
-  private:
-    SimdLevel saved_;
-};
-
-/** Forces audit mode on/off for the scope. */
-class AuditGuard
-{
-  public:
-    explicit AuditGuard(bool on) : saved_(auditEnabled())
-    {
-        setAuditEnabled(on);
-    }
-    ~AuditGuard() { setAuditEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
+using test::AuditGuard;
+using test::KernelLevelGuard;
 
 std::vector<const KernelOps *>
 simdTiers()
