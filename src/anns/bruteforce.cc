@@ -65,15 +65,4 @@ recallAtK(const std::vector<VectorId> &result,
     return static_cast<double>(hits) / static_cast<double>(kk);
 }
 
-double
-meanRecall(const std::vector<std::vector<VectorId>> &results,
-           const std::vector<std::vector<Neighbor>> &gt, std::size_t k)
-{
-    ANSMET_CHECK(results.size() == gt.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < results.size(); ++i)
-        acc += recallAtK(results[i], gt[i], k);
-    return results.empty() ? 0.0 : acc / static_cast<double>(results.size());
-}
-
 } // namespace ansmet::anns

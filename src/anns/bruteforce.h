@@ -31,11 +31,6 @@ bruteForceAll(Metric m, const std::vector<std::vector<float>> &queries,
 double recallAtK(const std::vector<VectorId> &result,
                  const std::vector<Neighbor> &ground_truth, std::size_t k);
 
-/** Mean recall@k over a batch. */
-double meanRecall(const std::vector<std::vector<VectorId>> &results,
-                  const std::vector<std::vector<Neighbor>> &gt,
-                  std::size_t k);
-
 } // namespace ansmet::anns
 
 #endif // ANSMET_ANNS_BRUTEFORCE_H

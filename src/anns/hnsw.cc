@@ -8,12 +8,14 @@
 
 #include "common/check.h"
 #include "common/runtime/runtime.h"
-#include "common/sync.h"
 #include "obs/metrics.h"
 
 namespace ansmet::anns {
 
 namespace {
+
+/** Highest level randomLevel() draws, so no valid graph goes above it. */
+constexpr unsigned kMaxLevel = 31;
 
 struct HnswMetrics
 {
@@ -39,63 +41,44 @@ nullObserver()
 }
 
 // ---------------------------------------------------------------------
-// Visited-set scratch pool
+// Per-thread visited-set scratch
 // ---------------------------------------------------------------------
 
-class HnswIndex::ScratchPool
-{
-  public:
-    explicit ScratchPool(std::size_t n) : n_(n) {}
-
-    VisitScratch *
-    acquire()
-    {
-        {
-            MutexLock lk(mu_);
-            if (!free_.empty()) {
-                VisitScratch *s = free_.back();
-                free_.pop_back();
-                return s;
-            }
-        }
-        auto s = std::make_unique<VisitScratch>();
-        s->tag.assign(n_, 0);
-        VisitScratch *raw = s.get();
-        MutexLock lk(mu_);
-        all_.push_back(std::move(s));
-        return raw;
-    }
-
-    void
-    release(VisitScratch *s)
-    {
-        MutexLock lk(mu_);
-        free_.push_back(s);
-    }
-
-  private:
-    std::size_t n_; //!< immutable after construction
-    Mutex mu_;
-    std::vector<std::unique_ptr<VisitScratch>> all_ ANSMET_GUARDED_BY(mu_);
-    std::vector<VisitScratch *> free_ ANSMET_GUARDED_BY(mu_);
-};
-
+/**
+ * Each thread owns one VisitScratch for its lifetime, grown to the
+ * largest index it has searched. Sharing it across indexes is safe
+ * because searchLayer() only ever moves the epoch forward: tags left by
+ * any earlier search are below the current epoch, so they never read
+ * as visited. The in-use flag turns a re-entrant search on one thread,
+ * which would reuse the tags mid-search, into a panic.
+ */
 class HnswIndex::ScratchLease
 {
   public:
-    explicit ScratchLease(ScratchPool &pool)
-        : pool_(pool), scratch_(pool.acquire())
+    explicit ScratchLease(std::size_t n) : s_(threadScratch())
     {
+        ANSMET_CHECK(!s_.inUse,
+                     "re-entrant HNSW search on one thread (a "
+                     "SearchObserver must not call search())");
+        s_.inUse = true;
+        if (s_.tag.size() < n)
+            s_.tag.resize(n, 0);
     }
-    ~ScratchLease() { pool_.release(scratch_); }
+    ~ScratchLease() { s_.inUse = false; }
     ScratchLease(const ScratchLease &) = delete;
     ScratchLease &operator=(const ScratchLease &) = delete;
 
-    VisitScratch &operator*() const { return *scratch_; }
+    VisitScratch &operator*() const { return s_; }
 
   private:
-    ScratchPool &pool_;
-    VisitScratch *scratch_;
+    static VisitScratch &
+    threadScratch()
+    {
+        thread_local VisitScratch s;
+        return s;
+    }
+
+    VisitScratch &s_;
 };
 
 // ---------------------------------------------------------------------
@@ -105,16 +88,11 @@ class HnswIndex::ScratchLease
 HnswIndex::HnswIndex(const VectorSet &vs, Metric m, HnswParams params)
     : vs_(vs), metric_(m), params_(params),
       level_mult_(1.0 / std::log(static_cast<double>(params.m))),
-      nodes_(vs.size()),
-      scratch_(std::make_unique<ScratchPool>(vs.size()))
+      nodes_(vs.size())
 {
     ANSMET_CHECK(vs.size() > 0, "empty vector set");
     buildOrdered(drawLevels());
 }
-
-// Defined here, where ScratchPool is complete.
-HnswIndex::HnswIndex(HnswIndex &&) noexcept = default;
-HnswIndex::~HnswIndex() = default;
 
 unsigned
 HnswIndex::randomLevel(Prng &rng) const
@@ -123,7 +101,8 @@ HnswIndex::randomLevel(Prng &rng) const
     if (u < 1e-12)
         u = 1e-12;
     const double level = -std::log(u) * level_mult_;
-    return static_cast<unsigned>(std::min(level, 31.0));
+    return static_cast<unsigned>(
+        std::min(level, static_cast<double>(kMaxLevel)));
 }
 
 std::vector<unsigned>
@@ -156,16 +135,6 @@ HnswIndex::verticesAtLevel(unsigned level) const
         if (nodes_[v].links.size() > level)
             out.push_back(static_cast<VectorId>(v));
     return out;
-}
-
-std::size_t
-HnswIndex::graphBytes() const
-{
-    std::size_t bytes = 0;
-    for (const auto &n : nodes_)
-        for (const auto &l : n.links)
-            bytes += l.size() * sizeof(VectorId) + sizeof(std::uint32_t);
-    return bytes;
 }
 
 std::vector<Neighbor>
@@ -347,7 +316,7 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
 
         // Phase A (parallel): pick neighbors against the frozen graph.
         runtime::parallelFor(0, batch, [&](std::size_t lo, std::size_t hi) {
-            ScratchLease vis(*scratch_);
+            ScratchLease vis(n);
             for (std::size_t i = lo; i < hi; ++i) {
                 const auto v = static_cast<VectorId>(done + i);
                 plans[i] = planInsert(v, levels[v], *vis);
@@ -442,6 +411,7 @@ readPod(std::istream &is)
 {
     T v{};
     is.read(reinterpret_cast<char *>(&v), sizeof(v));
+    ANSMET_CHECK(is.good(), "truncated HNSW graph file");
     return v;
 }
 
@@ -451,8 +421,7 @@ HnswIndex::HnswIndex(LoadTag, const VectorSet &vs, Metric m,
                      HnswParams params)
     : vs_(vs), metric_(m), params_(params),
       level_mult_(1.0 / std::log(static_cast<double>(params.m))),
-      nodes_(vs.size()),
-      scratch_(std::make_unique<ScratchPool>(vs.size()))
+      nodes_(vs.size())
 {
 }
 
@@ -478,24 +447,57 @@ HnswIndex
 HnswIndex::load(std::istream &is, const VectorSet &vs, Metric m,
                 HnswParams params)
 {
+    // Every count is checked before anything is sized from it, so a
+    // corrupt cache file panics instead of allocating or indexing
+    // out of range.
     HnswIndex idx(LoadTag{}, vs, m, params);
     ANSMET_CHECK(readPod<std::uint32_t>(is) == kGraphMagic,
                  "bad HNSW graph file");
     const auto n = readPod<std::uint64_t>(is);
     ANSMET_CHECK(n == vs.size(), "graph/vector-set size mismatch");
     idx.entry_ = readPod<VectorId>(is);
+    ANSMET_CHECK(idx.entry_ < n, "bad HNSW graph file: entry point ",
+                 idx.entry_, " of ", n, " vertices");
     idx.max_level_ = readPod<unsigned>(is);
-    for (auto &node : idx.nodes_) {
+    ANSMET_CHECK(idx.max_level_ <= kMaxLevel,
+                 "bad HNSW graph file: top level ", idx.max_level_);
+    for (VectorId v = 0; v < n; ++v) {
+        auto &links = idx.nodes_[v].links;
         const auto levels = readPod<std::uint32_t>(is);
-        node.links.resize(levels);
-        for (auto &l : node.links) {
+        ANSMET_CHECK(levels >= 1 && levels <= idx.max_level_ + 1,
+                     "bad HNSW graph file: vertex ", v, " has ", levels,
+                     " levels");
+        links.resize(levels);
+        for (unsigned l = 0; l < levels; ++l) {
             const auto deg = readPod<std::uint32_t>(is);
-            l.resize(deg);
-            is.read(reinterpret_cast<char *>(l.data()),
+            ANSMET_CHECK(deg <= params.maxDegree(l),
+                         "bad HNSW graph file: vertex ", v, " has degree ",
+                         deg, " at level ", l);
+            links[l].resize(deg);
+            is.read(reinterpret_cast<char *>(links[l].data()),
                     static_cast<std::streamsize>(deg * sizeof(VectorId)));
+            ANSMET_CHECK(is.good(), "truncated HNSW graph file");
+            for (const VectorId nb : links[l]) {
+                ANSMET_CHECK(nb < n && nb != v,
+                             "bad HNSW graph file: vertex ", v,
+                             " has neighbor ", nb);
+            }
         }
     }
-    ANSMET_CHECK(is.good(), "truncated HNSW graph file");
+    ANSMET_CHECK(is.peek() == std::istream::traits_type::eof(),
+                 "bad HNSW graph file: trailing bytes");
+    ANSMET_CHECK(idx.levelOf(idx.entry_) == idx.max_level_,
+                 "bad HNSW graph file: entry point not on the top level");
+    // Search reads links[l] of every vertex an edge at level l reaches.
+    for (VectorId v = 0; v < n; ++v) {
+        for (unsigned l = 0; l <= idx.levelOf(v); ++l) {
+            for (const VectorId nb : idx.nodes_[v].links[l]) {
+                ANSMET_CHECK(idx.levelOf(nb) >= l,
+                             "bad HNSW graph file: level-", l, " edge ", v,
+                             " -> ", nb, " leaves the level");
+            }
+        }
+    }
     return idx;
 }
 
@@ -509,7 +511,7 @@ HnswIndex::search(const float *query, std::size_t k, std::size_t ef,
 {
     ANSMET_CHECK(ef >= k, "efSearch must be >= k");
 
-    ScratchLease vis(*scratch_);
+    ScratchLease vis(nodes_.size());
     Neighbor ep{dist(query, entry_), entry_};
     obs.beginStep(StepKind::kUpperGreedy, sizeof(VectorId), entry_);
     obs.onCompare(ep.id, std::numeric_limits<double>::infinity(), ep.dist,

@@ -15,8 +15,12 @@
  * order. The resulting graph is a pure function of the seed, identical
  * for any thread count — this is what keeps traces and figures
  * reproducible.
- * Search is thread-safe and lock-free: per-call visited-set scratch
- * comes from an internal pool instead of shared mutable members.
+ *
+ * Search is thread-safe and lock-free: the index is immutable once
+ * built, and each thread keeps one visited-set scratch of its own
+ * (thread_local, grown to the largest index it has searched). A search
+ * must not start another on the same thread — a SearchObserver calling
+ * search() panics instead of corrupting the caller's visited set.
  */
 
 #ifndef ANSMET_ANNS_HNSW_H
@@ -24,7 +28,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "anns/distance.h"
@@ -55,14 +58,10 @@ class HnswIndex
      */
     HnswIndex(const VectorSet &vs, Metric m, HnswParams params = {});
 
-    // Out-of-line: members hold pointers to types incomplete here.
-    HnswIndex(HnswIndex &&) noexcept;
-    ~HnswIndex();
-
     /**
      * Approximate k-nearest-neighbor search. Safe to call from many
-     * threads concurrently (each call draws its own visited-set
-     * scratch from a pool).
+     * threads concurrently (each uses its own thread's visited-set
+     * scratch); @p obs must not search on the calling thread.
      * @param ef beam width (k', >= k)
      * @return up to k ids ascending by distance
      */
@@ -87,9 +86,6 @@ class HnswIndex
     /** Vertices present at @p level and above (hot-set for replication). */
     std::vector<VectorId> verticesAtLevel(unsigned level) const;
 
-    /** Total adjacency storage in bytes (graph memory footprint). */
-    std::size_t graphBytes() const;
-
     /**
      * Serialize the graph (not the vectors) to a binary stream, so
      * expensive builds can be cached across experiment binaries.
@@ -98,7 +94,11 @@ class HnswIndex
 
     /**
      * Deserialize a graph previously written by save(). @p vs must be
-     * the same vector set the graph was built over.
+     * the same vector set the graph was built over, and @p params the
+     * parameters it was built with. The stream is untrusted: a graph
+     * that is truncated, has trailing bytes, or breaks a structural
+     * invariant (entry point, level counts, degree caps, neighbor ids)
+     * panics before anything is sized from it.
      */
     static HnswIndex load(std::istream &is, const VectorSet &vs, Metric m,
                           HnswParams params = {});
@@ -115,7 +115,7 @@ class HnswIndex
         std::vector<std::vector<VectorId>> links;
     };
 
-    /** Per-search visited-set scratch (tag array + epoch counter). */
+    /** Visited-set scratch (tag array + epoch counter), one per thread. */
     struct VisitScratch
     {
         std::vector<std::uint32_t> tag;
@@ -124,12 +124,10 @@ class HnswIndex
         // kept here so expansion allocates nothing per step.
         std::vector<VectorId> batchIds;
         std::vector<double> batchDist;
+        bool inUse = false; //!< a search on this thread holds it
     };
 
-    /** Pool of VisitScratch instances for concurrent searches. */
-    class ScratchPool;
-
-    /** RAII lease of one VisitScratch from the pool. */
+    /** RAII claim on the calling thread's VisitScratch (hnsw.cc). */
     class ScratchLease;
 
     /** Neighbor lists selected for one vertex, per level (0..top). */
@@ -179,9 +177,6 @@ class HnswIndex
     std::vector<Node> nodes_;
     VectorId entry_ = kInvalidVector;
     unsigned max_level_ = 0;
-
-    // Search scratch pool; mutable because search is logically const.
-    mutable std::unique_ptr<ScratchPool> scratch_;
 };
 
 } // namespace ansmet::anns

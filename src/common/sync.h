@@ -27,7 +27,7 @@
  * time off-Clang.
  *
  * This header is deliberately the only place in src/ allowed to name
- * std::mutex / std::shared_mutex / std::condition_variable directly;
+ * std::mutex / std::condition_variable directly;
  * tools/ansmet_lint.py rule R4 (ansmet-rawsync) enforces that every
  * other file uses these wrappers, which is what keeps the annotation
  * coverage from silently eroding.
@@ -38,7 +38,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---------------------------------------------------------------------
 // Annotation macros (no-ops off-Clang).
@@ -50,7 +49,7 @@
 #define ANSMET_THREAD_ANNOTATION(x) // not supported by this compiler
 #endif
 
-/** Marks a class as a lockable capability ("mutex", "shared_mutex"). */
+/** Marks a class as a lockable capability ("mutex"). */
 #define ANSMET_CAPABILITY(name) ANSMET_THREAD_ANNOTATION(capability(name))
 
 /** Marks an RAII class that acquires in its ctor, releases in its dtor. */
@@ -59,53 +58,22 @@
 /** Data member that may only be touched while holding @p x. */
 #define ANSMET_GUARDED_BY(x) ANSMET_THREAD_ANNOTATION(guarded_by(x))
 
-/** Pointer member whose pointee is guarded by @p x. */
-#define ANSMET_PT_GUARDED_BY(x) ANSMET_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /** Function that must be called with the capabilities held. */
 #define ANSMET_REQUIRES(...) \
     ANSMET_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/** Function that must be called with at least shared (reader) access. */
-#define ANSMET_REQUIRES_SHARED(...) \
-    ANSMET_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /** Function that acquires the capability and does not release it. */
 #define ANSMET_ACQUIRE(...) \
     ANSMET_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/** Shared-mode counterpart of ANSMET_ACQUIRE. */
-#define ANSMET_ACQUIRE_SHARED(...) \
-    ANSMET_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
 /** Function that releases a held capability. */
 #define ANSMET_RELEASE(...) \
     ANSMET_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/** Shared-mode counterpart of ANSMET_RELEASE. */
-#define ANSMET_RELEASE_SHARED(...) \
-    ANSMET_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-
-/** Function that acquires the capability only when it returns @p ret. */
-#define ANSMET_TRY_ACQUIRE(...) \
-    ANSMET_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 /** Function that must be called WITHOUT the capabilities held (it
  *  acquires them itself; calling with them held would deadlock). */
 #define ANSMET_EXCLUDES(...) \
     ANSMET_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** Function returning a reference to the named capability. */
-#define ANSMET_RETURN_CAPABILITY(x) \
-    ANSMET_THREAD_ANNOTATION(lock_returned(x))
-
-/**
- * Escape hatch: disables the analysis for one function. Policy: not
- * used anywhere in src/ (the acceptance bar for the annotation layer);
- * kept defined so tests can exercise deliberately-racy fixtures.
- */
-#define ANSMET_NO_THREAD_SAFETY_ANALYSIS \
-    ANSMET_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace ansmet {
 
@@ -125,28 +93,10 @@ class ANSMET_CAPABILITY("mutex") Mutex
 
     void lock() ANSMET_ACQUIRE() { mu_.lock(); }
     void unlock() ANSMET_RELEASE() { mu_.unlock(); }
-    bool try_lock() ANSMET_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   private:
     friend class CondVar;
     std::mutex mu_;
-};
-
-/** Reader/writer mutex; identical to std::shared_mutex at runtime. */
-class ANSMET_CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void lock() ANSMET_ACQUIRE() { mu_.lock(); }
-    void unlock() ANSMET_RELEASE() { mu_.unlock(); }
-    void lock_shared() ANSMET_ACQUIRE_SHARED() { mu_.lock_shared(); }
-    void unlock_shared() ANSMET_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  private:
-    std::shared_mutex mu_;
 };
 
 /** std::lock_guard<Mutex> with scoped-capability annotations. */
@@ -164,41 +114,6 @@ class ANSMET_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mu_;
-};
-
-/** Scoped shared (reader) lock over a SharedMutex. */
-class ANSMET_SCOPED_CAPABILITY ReaderLock
-{
-  public:
-    explicit ReaderLock(SharedMutex &mu) ANSMET_ACQUIRE_SHARED(mu)
-        : mu_(mu)
-    {
-        mu_.lock_shared();
-    }
-    ~ReaderLock() ANSMET_RELEASE() { mu_.unlock_shared(); }
-
-    ReaderLock(const ReaderLock &) = delete;
-    ReaderLock &operator=(const ReaderLock &) = delete;
-
-  private:
-    SharedMutex &mu_;
-};
-
-/** Scoped exclusive (writer) lock over a SharedMutex. */
-class ANSMET_SCOPED_CAPABILITY WriterLock
-{
-  public:
-    explicit WriterLock(SharedMutex &mu) ANSMET_ACQUIRE(mu) : mu_(mu)
-    {
-        mu_.lock();
-    }
-    ~WriterLock() ANSMET_RELEASE() { mu_.unlock(); }
-
-    WriterLock(const WriterLock &) = delete;
-    WriterLock &operator=(const WriterLock &) = delete;
-
-  private:
-    SharedMutex &mu_;
 };
 
 /**

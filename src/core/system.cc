@@ -609,8 +609,19 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
                          const std::vector<VectorId> &hot)
     : cfg_(cfg), vs_(vs), metric_(metric)
 {
+    // NDP designs simulate every comparison over the rank-group split,
+    // which is the same in every group (only the ranks rotate), so its
+    // sizes are the only sub-vector plans the fetch simulator needs.
+    std::vector<unsigned> sub_dims;
+    if (isNdp(cfg.design)) {
+        part_ = std::make_unique<layout::Partitioner>(
+            layout::PartitionConfig{cfg.ndpUnits, cfg.subVectorBytes},
+            vs.dims(), anns::scalarBytes(vs.type()), vs.size());
+        for (const auto &s : part_->placement(0, 0))
+            sub_dims.push_back(s.dimEnd - s.dimBegin);
+    }
     fetchsim_ = std::make_unique<et::FetchSimulator>(
-        vs, metric, schemeOf(cfg.design), profile);
+        vs, metric, schemeOf(cfg.design), profile, sub_dims);
     hostCpu_ = std::make_unique<cpu::HostCpu>(eq_, cfg.host, cfg.timing,
                                               cfg.org);
 
@@ -619,9 +630,6 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
             units_.push_back(std::make_unique<ndp::NdpUnit>(
                 eq_, cfg.ndpParams, cfg.timing, cfg.org, u));
         }
-        part_ = std::make_unique<layout::Partitioner>(
-            layout::PartitionConfig{cfg.ndpUnits, cfg.subVectorBytes},
-            vs.dims(), anns::scalarBytes(vs.type()), vs.size());
         loads_ = std::make_unique<layout::LoadTracker>(cfg.ndpUnits);
         allocatePlacement(cfg.replicateHot ? hot : std::vector<VectorId>{});
 
@@ -724,9 +732,6 @@ SystemModel::precomputeFetch(const std::vector<QueryTrace> &traces)
     } else {
         ranges.emplace_back(0, vs_.dims());
     }
-    // Warm the plan cache once so the parallel phase only reads it.
-    for (const auto &[b, e] : ranges)
-        (void)fetchsim_->subPlan(e - b);
 
     prefetch_.assign(traces.size(), {});
     runtime::parallelFor(0, traces.size(), [&](std::size_t lo, std::size_t hi) {
@@ -769,13 +774,6 @@ SystemModel::beginSession(const std::vector<QueryTrace> &traces,
 
     for (unsigned c = 0; c < slots; ++c)
         contexts_.push_back(std::make_unique<QueryContext>(*this, c));
-}
-
-bool
-SystemModel::slotIdle(unsigned slot) const
-{
-    ANSMET_CHECK(slot < contexts_.size(), "slot out of range");
-    return contexts_[slot]->idle();
 }
 
 void

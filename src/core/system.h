@@ -206,9 +206,6 @@ class SystemModel
         return static_cast<unsigned>(contexts_.size());
     }
 
-    /** True when @p slot has no query in flight. */
-    bool slotIdle(unsigned slot) const;
-
     /**
      * Start replaying trace @p traceIdx on idle slot @p slot at the
      * current simulated time (fatal if the slot is busy). The same

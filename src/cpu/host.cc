@@ -125,24 +125,4 @@ HostCpu::read(Addr addr, unsigned lines, Callback done)
     hm.cacheMisses.add(lines - hits);
 }
 
-void
-HostCpu::writeUncached(unsigned channel, Addr addr, Callback done)
-{
-    (void)addr; // buffer-chip register target: no bank is involved
-    // A Callback is too big to re-capture in a Request::Callback by
-    // design; park it in the read-op pool (a one-line "read").
-    const std::uint32_t op = allocReadOp(1, std::move(done));
-    channels_[channel % channels_.size()]->enqueueBusTransfer(
-        true, [this, op](Tick) { lineDone(op); });
-}
-
-void
-HostCpu::readUncached(unsigned channel, Addr addr, Callback done)
-{
-    (void)addr;
-    const std::uint32_t op = allocReadOp(1, std::move(done));
-    channels_[channel % channels_.size()]->enqueueBusTransfer(
-        false, [this, op](Tick) { lineDone(op); });
-}
-
 } // namespace ansmet::cpu

@@ -73,22 +73,6 @@ class HostCpu
      */
     void read(Addr addr, unsigned lines, Callback done);
 
-    /**
-     * Issue an uncached 64 B write to channel @p channel (the NDP
-     * instruction path: DDR WRITE to a reserved address).
-     */
-    void writeUncached(unsigned channel, Addr addr, Callback done);
-
-    /** Issue an uncached 64 B read (the NDP poll path). */
-    void readUncached(unsigned channel, Addr addr, Callback done);
-
-    /** Cycles to compute a distance over @p dims elements with SIMD. */
-    std::uint64_t
-    distanceKernelCycles(unsigned dims) const
-    {
-        return std::max<std::uint64_t>(1, dims / hp_.simdLanes) + 8;
-    }
-
     const HostParams &params() const { return hp_; }
     cache::CacheHierarchy &caches() { return *caches_; }
     dram::MemController &channel(unsigned c) { return *channels_[c]; }

@@ -6,19 +6,6 @@
 
 namespace ansmet::dram {
 
-const char *
-commandName(Command c)
-{
-    switch (c) {
-      case Command::kAct: return "ACT";
-      case Command::kPre: return "PRE";
-      case Command::kRd:  return "RD";
-      case Command::kWr:  return "WR";
-      case Command::kRef: return "REF";
-    }
-    return "?";
-}
-
 RankDevice::RankDevice(const TimingParams &tp, const OrgParams &org)
     : tp_(tp), org_(org), banks_(org.banksPerRank()),
       nextRefreshAt_(Tick{} + tp.cycles(tp.tREFI))

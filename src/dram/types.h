@@ -16,8 +16,6 @@ namespace ansmet::dram {
 /** DRAM command set (all-bank refresh only). */
 enum class Command : std::uint8_t { kAct, kPre, kRd, kWr, kRef };
 
-const char *commandName(Command c);
-
 /** Decoded location of a 64 B line inside one rank. */
 struct BankAddr
 {

@@ -1,7 +1,7 @@
 #include "et/fetchsim.h"
 
+#include <algorithm>
 #include <limits>
-#include <mutex>
 
 #include "anns/kernels.h"
 #include "common/check.h"
@@ -112,12 +112,31 @@ planFor(EtScheme s, ScalarType t, unsigned dims, const EtProfile *prof)
     ANSMET_PANIC("unknown scheme");
 }
 
+/** Plan for a @p dims-dimension sub-vector of a partitioned layout. */
+FetchPlanSpec
+subPlanFor(EtScheme s, ScalarType t, unsigned dims, const EtProfile *prof)
+{
+    if ((s == EtScheme::kDual || s == EtScheme::kOpt) && prof) {
+        // Line packing depends on the sub-vector dimensionality, so the
+        // offline pass re-optimizes (nC, TC, nF) per sub-vector size
+        // rather than inheriting the full-vector parameters.
+        const unsigned prefix =
+            s == EtScheme::kOpt ? prof->commonPrefix.length : 0;
+        const DualParams dp =
+            optimizeDual(prof->etPositions, keyBits(t), prefix, dims);
+        return FetchPlanSpec::dual(t, dims, prefix, dp.nc, dp.tc, dp.nf,
+                                   s == EtScheme::kOpt && prefix > 0);
+    }
+    return planFor(s, t, dims, prof);
+}
+
 } // namespace
 
 FetchSimulator::FetchSimulator(const anns::VectorSet &vs,
                                anns::Metric metric, EtScheme scheme,
-                               const EtProfile *profile)
-    : vs_(vs), metric_(metric), scheme_(scheme), profile_(profile),
+                               const EtProfile *profile,
+                               const std::vector<unsigned> &sub_dims)
+    : vs_(vs), metric_(metric), scheme_(scheme),
       plan_(planFor(scheme, vs.type(), vs.dims(), profile)),
       global_range_(profile ? profile->globalRange : globalValueRange(vs))
 {
@@ -129,6 +148,18 @@ FetchSimulator::FetchSimulator(const anns::VectorSet &vs,
         // every line, which simulateRange stages a line at a time.
         ANSMET_CHECK(pe_->prefix().length == plan_.prefixLen);
     }
+    for (const unsigned dims : sub_dims) {
+        ANSMET_CHECK(dims >= 1 && dims <= vs.dims(), "bad sub-vector size ",
+                     dims, " of ", vs.dims());
+        const bool known =
+            dims == vs.dims() ||
+            std::any_of(sub_plans_.begin(), sub_plans_.end(),
+                        [&](const auto &p) { return p.first == dims; });
+        if (!known) {
+            sub_plans_.emplace_back(
+                dims, subPlanFor(scheme, vs.type(), dims, profile));
+        }
+    }
 }
 
 const FetchPlanSpec &
@@ -136,40 +167,13 @@ FetchSimulator::subPlan(unsigned dims) const
 {
     if (dims == vs_.dims())
         return plan_;
-    {
-        // Read-mostly fast path: after warm-up every lookup lands here
-        // and proceeds concurrently with every other reader.
-        ReaderLock lk(sub_plans_mu_);
-        const auto it = sub_plans_.find(dims);
-        if (it != sub_plans_.end())
-            return it->second;
+    for (const auto &[d, plan] : sub_plans_) {
+        if (d == dims)
+            return plan;
     }
-    WriterLock lk(sub_plans_mu_);
-    // Double-checked: another thread may have built the plan between
-    // the two lock acquisitions.
-    auto it = sub_plans_.find(dims);
-    if (it == sub_plans_.end()) {
-        FetchPlanSpec plan;
-        if ((scheme_ == EtScheme::kDual || scheme_ == EtScheme::kOpt) &&
-            profile_) {
-            // Line packing depends on the sub-vector dimensionality, so
-            // the offline pass re-optimizes (nC, TC, nF) per sub-vector
-            // size rather than inheriting the full-vector parameters.
-            const unsigned prefix = scheme_ == EtScheme::kOpt
-                                        ? profile_->commonPrefix.length
-                                        : 0;
-            const DualParams dp = optimizeDual(
-                profile_->etPositions, keyBits(vs_.type()), prefix, dims);
-            plan = FetchPlanSpec::dual(vs_.type(), dims, prefix, dp.nc,
-                                       dp.tc, dp.nf,
-                                       scheme_ == EtScheme::kOpt &&
-                                           prefix > 0);
-        } else {
-            plan = planFor(scheme_, vs_.type(), dims, profile_);
-        }
-        it = sub_plans_.emplace(dims, std::move(plan)).first;
-    }
-    return it->second;
+    ANSMET_PANIC("no fetch plan for a ", dims,
+                 "-dimension sub-vector: declare its size when "
+                 "constructing the FetchSimulator");
 }
 
 FetchResult

@@ -10,17 +10,23 @@
  * accept/reject decision. One simulator instance is built per
  * (dataset, scheme); results are deterministic, so the timing layer
  * can share them across designs.
+ *
+ * A simulator is immutable once constructed: every fetch plan it will
+ * use, the full vector's and one per declared sub-vector size, is
+ * built by the constructor, so concurrent callers share it without a
+ * lock (the timing layer precomputes fetch results across queries in
+ * parallel).
  */
 
 #ifndef ANSMET_ET_FETCHSIM_H
 #define ANSMET_ET_FETCHSIM_H
 
-#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "anns/distance.h"
 #include "anns/vector.h"
-#include "common/sync.h"
 #include "et/bounds.h"
 #include "et/layout.h"
 #include "et/prefix.h"
@@ -67,9 +73,13 @@ class FetchSimulator
      *        optional otherwise (kNone..kHeuristic only need the
      *        global range for IP, which without a profile is taken
      *        over @p vs here, as buildProfile() does)
+     * @param sub_dims dimension counts of the sub-vectors
+     *        simulateRange() will be asked for besides the full vector
+     *        (a partitioned layout's rank split; repeats are fine)
      */
     FetchSimulator(const anns::VectorSet &vs, anns::Metric metric,
-                   EtScheme scheme, const EtProfile *profile);
+                   EtScheme scheme, const EtProfile *profile,
+                   const std::vector<unsigned> &sub_dims = {});
 
     /** Simulate one comparison against @p threshold. */
     FetchResult simulate(const float *query, VectorId v,
@@ -109,10 +119,9 @@ class FetchSimulator
     const PrefixElimination *prefixElimination() const { return pe_.get(); }
 
     /**
-     * Plan for a sub-vector of @p dims dimensions (cached). Safe to
-     * call concurrently: simulate()/simulateRange() are otherwise
-     * pure, so the timing layer precomputes fetch results across
-     * queries in parallel.
+     * Plan for a sub-vector of @p dims dimensions: the full-vector
+     * plan, or one built for a size declared at construction. Any
+     * other size panics.
      */
     const FetchPlanSpec &subPlan(unsigned dims) const;
 
@@ -140,18 +149,11 @@ class FetchSimulator
     const anns::VectorSet &vs_;
     anns::Metric metric_;
     EtScheme scheme_;
-    const EtProfile *profile_;
     FetchPlanSpec plan_;
     ValueInterval global_range_;
     std::unique_ptr<PrefixElimination> pe_;
-    // Lazily grown plan cache; entries are stable once inserted (the
-    // map guarantees reference stability). The hot path is read-mostly
-    // — a handful of distinct sub-vector sizes, millions of lookups —
-    // so readers take the shared side and only a miss upgrades to the
-    // exclusive side with a double-checked insert.
-    mutable SharedMutex sub_plans_mu_;
-    mutable std::map<unsigned, FetchPlanSpec> sub_plans_
-        ANSMET_GUARDED_BY(sub_plans_mu_);
+    /** (dims, plan) per declared sub-vector size; a handful at most. */
+    std::vector<std::pair<unsigned, FetchPlanSpec>> sub_plans_;
 };
 
 } // namespace ansmet::et

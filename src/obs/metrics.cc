@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#ifndef ANSMET_OBS_DISABLED
-
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -293,17 +291,3 @@ Registry::reset()
 }
 
 } // namespace ansmet::obs
-
-#else // ANSMET_OBS_DISABLED
-
-namespace ansmet::obs {
-
-std::string
-Snapshot::toJson() const
-{
-    return "{}";
-}
-
-} // namespace ansmet::obs
-
-#endif

@@ -8,10 +8,8 @@
  *    thread-local shard — no locks, no allocation, no contention;
  *  - shards are owned by the registry and merged only on snapshot(),
  *    so concurrent writers never synchronize with each other;
- *  - the whole layer compiles to no-ops under -DANSMET_OBS=OFF
- *    (ANSMET_OBS_DISABLED), and recording never feeds back into any
- *    simulated quantity, so figure output is bitwise identical with
- *    observability on or off.
+ *  - recording never feeds back into any simulated quantity, so figure
+ *    output is bitwise identical with tracing on or off.
  *
  * Handles are tiny value types: obtain them once (typically via a
  * function-local static) and record through them ever after:
@@ -23,17 +21,14 @@
 #ifndef ANSMET_OBS_METRICS_H
 #define ANSMET_OBS_METRICS_H
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef ANSMET_OBS_DISABLED
-#include <array>
-#include <atomic>
-#endif
 
 namespace ansmet::obs {
 
@@ -89,8 +84,6 @@ struct Snapshot
     /** Stable, machine-readable JSON rendering. */
     std::string toJson() const;
 };
-
-#ifndef ANSMET_OBS_DISABLED
 
 namespace detail {
 
@@ -264,48 +257,6 @@ class Registry
     struct Impl;
     Impl &impl() const;
 };
-
-#else // ANSMET_OBS_DISABLED ------------------------------------------
-
-class Counter
-{
-  public:
-    void add(std::uint64_t) {}
-    void inc() {}
-};
-
-class Gauge
-{
-  public:
-    void set(std::int64_t) {}
-    void add(std::int64_t) {}
-};
-
-class Histogram
-{
-  public:
-    void sample(std::uint64_t) {}
-};
-
-class Registry
-{
-  public:
-    static Registry &
-    instance()
-    {
-        static Registry r;
-        return r;
-    }
-
-    Counter counter(std::string_view) { return {}; }
-    Gauge gauge(std::string_view) { return {}; }
-    Histogram histogram(std::string_view, unsigned = 40) { return {}; }
-    Snapshot snapshot() const { return {}; }
-    std::string snapshotJson() const { return "{}"; }
-    void reset() {}
-};
-
-#endif // ANSMET_OBS_DISABLED
 
 } // namespace ansmet::obs
 

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#ifndef ANSMET_OBS_DISABLED
-
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -230,22 +228,6 @@ TraceWriter::instant(std::string_view name, std::uint32_t tid, Tick when)
     i.push(std::move(e));
 }
 
-void
-TraceWriter::nameThread(std::uint32_t tid, std::string_view name)
-{
-    if (!enabled_)
-        return;
-    Impl &i = impl();
-    Event e;
-    e.type = Event::Type::kMeta;
-    e.name = "thread_name";
-    e.pid = i.pid();
-    e.tid = tid;
-    e.start = Tick{};
-    e.args.emplace_back(std::string(name), 0);
-    i.push(std::move(e));
-}
-
 std::uint64_t
 TraceWriter::dropped() const
 {
@@ -330,5 +312,3 @@ TraceWriter::flush()
 }
 
 } // namespace ansmet::obs
-
-#endif // ANSMET_OBS_DISABLED

@@ -20,8 +20,8 @@
  * at process exit or on TraceWriter::flush(). The flushed JSON also
  * embeds the full metrics Snapshot under "metrics".
  *
- * Like the metrics registry, the layer compiles to no-ops under
- * -DANSMET_OBS=OFF and never feeds back into simulated behaviour.
+ * Like the metrics registry, the layer never feeds back into simulated
+ * behaviour.
  */
 
 #ifndef ANSMET_OBS_TRACE_H
@@ -41,8 +41,6 @@ struct TraceArg
     std::string_view key;
     std::int64_t value = 0;
 };
-
-#ifndef ANSMET_OBS_DISABLED
 
 class TraceWriter
 {
@@ -74,9 +72,6 @@ class TraceWriter
     /** Instant ("i") event at @p when. */
     void instant(std::string_view name, std::uint32_t tid, Tick when);
 
-    /** Name the @p tid row inside the current run. */
-    void nameThread(std::uint32_t tid, std::string_view name);
-
     /** Write the trace file now (also runs automatically at exit).
      *  Idempotent per accumulated state; later events re-flush. */
     void flush();
@@ -106,45 +101,6 @@ dramLaneTid(unsigned controller)
 {
     return 20000 + controller;
 }
-
-#else // ANSMET_OBS_DISABLED ------------------------------------------
-
-class TraceWriter
-{
-  public:
-    static TraceWriter &
-    instance()
-    {
-        static TraceWriter t;
-        return t;
-    }
-
-    bool enabled() const { return false; }
-    std::uint32_t beginRun(std::string_view) { return 0; }
-    void span(std::string_view, std::uint32_t, Tick, Tick,
-              const TraceArg * = nullptr, std::size_t = 0)
-    {
-    }
-    void counter(std::string_view, std::uint32_t, Tick, std::int64_t) {}
-    void instant(std::string_view, std::uint32_t, Tick) {}
-    void nameThread(std::uint32_t, std::string_view) {}
-    void flush() {}
-    std::uint64_t dropped() const { return 0; }
-};
-
-inline std::uint32_t
-ndpLaneTid(unsigned unit, unsigned qshr)
-{
-    return 10000 + unit * 64 + qshr;
-}
-
-inline std::uint32_t
-dramLaneTid(unsigned controller)
-{
-    return 20000 + controller;
-}
-
-#endif // ANSMET_OBS_DISABLED
 
 } // namespace ansmet::obs
 

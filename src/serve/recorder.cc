@@ -8,6 +8,20 @@
 
 namespace ansmet::serve {
 
+namespace {
+
+/** Nearest-rank q-quantile (0 < q <= 1) of non-empty @p sorted. */
+std::uint64_t
+nearestRank(const std::vector<std::uint64_t> &sorted, double q)
+{
+    auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    rank = rank < 1 ? 1 : std::min(rank, sorted.size());
+    return sorted[rank - 1];
+}
+
+} // namespace
+
 const char *
 phaseName(Phase p)
 {
@@ -62,10 +76,7 @@ LatencyRecorder::exactQuantile(Phase phase, double q) const
         return 0;
     std::vector<std::uint64_t> sorted(s);
     std::sort(sorted.begin(), sorted.end());
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    rank = rank < 1 ? 1 : std::min(rank, sorted.size());
-    return sorted[rank - 1];
+    return nearestRank(sorted, q);
 }
 
 PhaseSummary
@@ -78,15 +89,9 @@ LatencyRecorder::summary(Phase phase) const
         return out;
     std::vector<std::uint64_t> sorted(s);
     std::sort(sorted.begin(), sorted.end());
-    auto rank = [&](double q) {
-        auto r = static_cast<std::size_t>(
-            std::ceil(q * static_cast<double>(sorted.size())));
-        r = r < 1 ? 1 : std::min(r, sorted.size());
-        return sorted[r - 1];
-    };
-    out.p50 = rank(0.50);
-    out.p99 = rank(0.99);
-    out.p999 = rank(0.999);
+    out.p50 = nearestRank(sorted, 0.50);
+    out.p99 = nearestRank(sorted, 0.99);
+    out.p999 = nearestRank(sorted, 0.999);
     out.max = sorted.back();
     double sum = 0.0;
     for (std::uint64_t v : sorted)

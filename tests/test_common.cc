@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -344,37 +342,6 @@ TEST(Sync, MutexLockExcludesConcurrentIncrements)
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(counter, 4000);
-}
-
-TEST(Sync, SharedMutexAllowsConcurrentReaders)
-{
-    SharedMutex mu;
-    const int value = 42;
-    std::atomic<int> observed{0};
-    std::atomic<int> inside{0};
-    std::atomic<int> peak{0};
-    std::vector<std::thread> readers;
-    readers.reserve(4);
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&] {
-            ReaderLock lk(mu);
-            const int now = inside.fetch_add(1) + 1;
-            int prev = peak.load();
-            while (prev < now && !peak.compare_exchange_weak(prev, now)) {
-            }
-            observed.fetch_add(value);
-            // Linger so the readers actually overlap.
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            inside.fetch_sub(1);
-        });
-    }
-    for (auto &t : readers)
-        t.join();
-    EXPECT_EQ(observed.load(), 4 * value);
-    EXPECT_GE(peak.load(), 2) << "readers never overlapped";
-    // A writer can still get exclusive access afterwards.
-    WriterLock lk(mu);
-    EXPECT_EQ(inside.load(), 0);
 }
 
 TEST(Sync, CondVarWaitWakesOnNotify)

@@ -211,7 +211,7 @@ TEST(FetchSim, RangeSimulationCoversSubvectors)
 {
     const Workload &w = workload(DatasetId::kGist);
     const FetchSimulator sim(*w.ds.base, w.ds.metric(), EtScheme::kOpt,
-                             &w.profile);
+                             &w.profile, {240});
     const auto &q = w.ds.queries[0];
     const auto gt =
         anns::bruteForceKnn(w.ds.metric(), q.data(), *w.ds.base, 10);
@@ -494,6 +494,10 @@ TEST(FetchSimInvariants, BadDimensionRangePanics)
     const auto &q = w.ds.queries.front();
     EXPECT_DEATH(sim.simulateRange(q.data(), 0, 1.0, 5, 5),
                  "bad dimension range");
+    // Plans are built at construction only: a sub-vector size that
+    // was never declared has none.
+    EXPECT_DEATH(sim.simulateRange(q.data(), 0, 1.0, 0, 7),
+                 "no fetch plan for a 7-dimension sub-vector");
 }
 
 /**
@@ -527,6 +531,26 @@ clusteredVectors(anns::ScalarType type, std::size_t n, unsigned dims,
     return vs;
 }
 
+/** The full range of @p dims dimensions plus a four-way split. */
+std::vector<std::pair<unsigned, unsigned>>
+referenceRanges(unsigned dims)
+{
+    std::vector<std::pair<unsigned, unsigned>> ranges = {{0, dims}};
+    for (unsigned r = 0; r < 4; ++r)
+        ranges.emplace_back(r * dims / 4, (r + 1) * dims / 4);
+    return ranges;
+}
+
+/** Sub-vector sizes of referenceRanges(@p dims), for the simulator. */
+std::vector<unsigned>
+referenceSizes(unsigned dims)
+{
+    std::vector<unsigned> sizes;
+    for (const auto &[b, e] : referenceRanges(dims))
+        sizes.push_back(e - b);
+    return sizes;
+}
+
 /**
  * Run every comparison of @p vs against @p q through @p sim and the
  * reference loop, on every kernel tier with audit off and on, and
@@ -539,10 +563,7 @@ expectMatchesReference(const FetchSimulator &sim, const anns::VectorSet &vs,
                        const std::vector<double> &thresholds,
                        const std::string &label)
 {
-    const unsigned dims = vs.dims();
-    std::vector<std::pair<unsigned, unsigned>> ranges = {{0, dims}};
-    for (unsigned r = 0; r < 4; ++r)
-        ranges.emplace_back(r * dims / 4, (r + 1) * dims / 4);
+    const auto ranges = referenceRanges(vs.dims());
 
     for (const SimdLevel level :
          {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
@@ -623,7 +644,8 @@ TEST(FetchSimReference, StagedLinesMatchPerElementLoop)
                 const std::string label =
                     std::string(anns::scalarName(type)) + " " +
                     anns::metricName(metric) + " " + schemeName(scheme);
-                const FetchSimulator sim(vs, metric, scheme, &prof);
+                const FetchSimulator sim(vs, metric, scheme, &prof,
+                                         referenceSizes(vs.dims()));
                 if (scheme == EtScheme::kOpt) {
                     const PrefixElimination *pe = sim.prefixElimination();
                     ASSERT_GT(pe->prefix().length, 0u) << label;
@@ -634,7 +656,8 @@ TEST(FetchSimReference, StagedLinesMatchPerElementLoop)
                                        q, thresholds, label);
                 if (scheme == EtScheme::kDual || scheme == EtScheme::kOpt)
                     continue;
-                const FetchSimulator bare(vs, metric, scheme, nullptr);
+                const FetchSimulator bare(vs, metric, scheme, nullptr,
+                                          referenceSizes(vs.dims()));
                 expectMatchesReference(bare, vs, metric,
                                        globalValueRange(vs), q, thresholds,
                                        label + " null-profile");

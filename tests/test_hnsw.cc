@@ -1,16 +1,21 @@
 /**
  * @file
  * HNSW index tests: structural invariants, search quality against
- * brute force, observer/trace behavior, serialization, determinism.
+ * brute force, observer/trace behavior, serialization (and rejection
+ * of corrupt graph files), determinism, and concurrent search over
+ * per-thread visited-set scratch.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "anns/bruteforce.h"
 #include "anns/dataset.h"
 #include "anns/hnsw.h"
+#include "common/runtime/runtime.h"
 #include "core/trace.h"
 
 namespace ansmet::anns {
@@ -151,6 +156,131 @@ TEST(Hnsw, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.search(q.data(), 10, 64), idx.search(q.data(), 10, 64));
 }
 
+/** A 300-vector graph and its bytes as save() writes them. */
+struct SavedGraph
+{
+    Dataset ds = makeDataset(DatasetId::kSift, 300, 1, 3);
+    HnswParams params{8, 40, 42};
+    HnswIndex idx{*ds.base, Metric::kL2, params};
+    std::string bytes;
+
+    SavedGraph()
+    {
+        std::ostringstream os;
+        idx.save(os);
+        bytes = os.str();
+    }
+
+    void
+    load(const std::string &b) const
+    {
+        std::istringstream is(b);
+        (void)HnswIndex::load(is, *ds.base, Metric::kL2, params);
+    }
+};
+
+// save() layout: magic @0, vertex count (u64) @4, entry point @12, top
+// level @16, then per vertex its level count and, per level, the degree
+// followed by the neighbor ids (all 32-bit).
+constexpr std::size_t kEntryAt = 12;
+constexpr std::size_t kTopLevelAt = 16;
+constexpr std::size_t kVerticesAt = 20;
+
+/** Byte offset of vertex @p u's first level-@p l neighbor. */
+std::size_t
+neighborAt(const HnswIndex &idx, VectorId u, unsigned l)
+{
+    std::size_t at = kVerticesAt;
+    for (VectorId w = 0; w < u; ++w) {
+        at += 4;
+        for (unsigned k = 0; k <= idx.levelOf(w); ++k)
+            at += 4 + 4 * idx.neighbors(w, k).size();
+    }
+    at += 4;
+    for (unsigned k = 0; k < l; ++k)
+        at += 4 + 4 * idx.neighbors(u, k).size();
+    return at + 4;
+}
+
+/** The lowest vertex of @p idx satisfying @p pred (test fails if none). */
+template <typename Pred>
+VectorId
+firstVertex(const HnswIndex &idx, Pred pred)
+{
+    for (VectorId v = 0; v < idx.vectors().size(); ++v) {
+        if (pred(v))
+            return v;
+    }
+    ADD_FAILURE() << "no vertex qualifies";
+    return 0;
+}
+
+/** @p bytes with the 32-bit word at @p offset replaced by @p v. */
+std::string
+patched(std::string bytes, std::size_t offset, std::uint32_t v)
+{
+    std::memcpy(bytes.data() + offset, &v, sizeof v);
+    return bytes;
+}
+
+TEST(HnswDeathTest, LoadRejectsTruncatedFile)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const SavedGraph g;
+    EXPECT_DEATH(g.load(g.bytes.substr(0, g.bytes.size() - 3)),
+                 "truncated HNSW graph file");
+    EXPECT_DEATH(g.load(g.bytes.substr(0, 14)), "truncated HNSW graph file");
+    EXPECT_DEATH(g.load(g.bytes + '\0'), "bad HNSW graph file: trailing");
+}
+
+TEST(HnswDeathTest, LoadRejectsBadEntryPoint)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const SavedGraph g;
+    EXPECT_DEATH(g.load(patched(g.bytes, kEntryAt, 1u << 30)),
+                 "bad HNSW graph file: entry point 1073741824 of 300");
+    const VectorId low = firstVertex(g.idx, [&](VectorId v) {
+        return g.idx.levelOf(v) < g.idx.maxLevel();
+    });
+    EXPECT_DEATH(g.load(patched(g.bytes, kEntryAt, low)),
+                 "bad HNSW graph file: entry point not on the top level");
+}
+
+TEST(HnswDeathTest, LoadRejectsOversizedCounts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const SavedGraph g;
+    EXPECT_DEATH(g.load(patched(g.bytes, kVerticesAt, 0xfffffff0u)),
+                 "bad HNSW graph file: vertex 0 has 4294967280 levels");
+    EXPECT_DEATH(g.load(patched(g.bytes, kTopLevelAt, 0xfffffff0u)),
+                 "bad HNSW graph file: top level");
+    EXPECT_DEATH(g.load(patched(g.bytes, kVerticesAt + 4,
+                                g.params.maxDegree(0) + 1)),
+                 "bad HNSW graph file: vertex 0 has degree 17 at level 0");
+}
+
+TEST(HnswDeathTest, LoadRejectsOutOfRangeNeighbor)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const SavedGraph g;
+    ASSERT_FALSE(g.idx.neighbors(0, 0).empty());
+    const std::size_t first = neighborAt(g.idx, 0, 0);
+    EXPECT_DEATH(g.load(patched(g.bytes, first, 300)),
+                 "bad HNSW graph file: vertex 0 has neighbor 300");
+    EXPECT_DEATH(g.load(patched(g.bytes, first, 0)),
+                 "bad HNSW graph file: vertex 0 has neighbor 0");
+
+    // A level-1 edge to a vertex that has no level 1.
+    const VectorId u = firstVertex(g.idx, [&](VectorId v) {
+        return g.idx.levelOf(v) > 0 && !g.idx.neighbors(v, 1).empty();
+    });
+    const VectorId base_only = firstVertex(
+        g.idx, [&](VectorId v) { return g.idx.levelOf(v) == 0; });
+    EXPECT_DEATH(g.load(patched(g.bytes, neighborAt(g.idx, u, 1),
+                                base_only)),
+                 "bad HNSW graph file: level-1 edge .* leaves the level");
+}
+
 TEST(Hnsw, TraceMatchesSearch)
 {
     const auto &ds = sift();
@@ -201,6 +331,73 @@ TEST(Hnsw, IpMetricSearchWorks)
                            gt[q], 10);
     }
     EXPECT_GE(total / static_cast<double>(ds.queries.size()), 0.7);
+}
+
+TEST(HnswConcurrency, InterleavedSearchesOverTwoIndexesMatchSerial)
+{
+    // Each lane's visited-set scratch serves both indexes in turn,
+    // growing to the larger one; every search must still equal the
+    // serial search on its own index.
+    const Dataset small = makeDataset(DatasetId::kSift, 300, 24, 5);
+    const Dataset large = makeDataset(DatasetId::kSift, 1500, 24, 6);
+    const HnswParams params{16, 60, 42};
+    const HnswIndex a(*small.base, Metric::kL2, params);
+    const HnswIndex b(*large.base, Metric::kL2, params);
+
+    // Even items search the small index, odd items the large one.
+    const std::size_t items = 2 * small.queries.size();
+    auto searchItem = [&](std::size_t i) {
+        const Dataset &ds = i % 2 == 0 ? small : large;
+        const HnswIndex &idx = i % 2 == 0 ? a : b;
+        return idx.search(ds.queries[i / 2].data(), 10, 48);
+    };
+    std::vector<std::vector<VectorId>> serial(items);
+    for (std::size_t i = 0; i < items; ++i)
+        serial[i] = searchItem(i);
+
+    runtime::Runtime lanes(runtime::CoreSet::identity(4));
+    for (int round = 0; round < 4; ++round) {
+        std::vector<std::vector<VectorId>> parallel(items);
+        lanes.parallelFor(
+            0, items,
+            [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i)
+                    parallel[i] = searchItem(i);
+            },
+            /*grain=*/1);
+        EXPECT_EQ(parallel, serial) << "round " << round;
+    }
+}
+
+/** Observer that starts a search of @p idx inside every comparison. */
+class ReentrantObserver : public SearchObserver
+{
+  public:
+    ReentrantObserver(const HnswIndex &idx, const float *q)
+        : idx_(idx), q_(q)
+    {
+    }
+
+    void
+    onCompare(VectorId, double, double, bool) override
+    {
+        (void)idx_.search(q_, 1, 1);
+    }
+
+  private:
+    const HnswIndex &idx_;
+    const float *q_;
+};
+
+TEST(HnswConcurrencyDeathTest, SearchFromAnObserverOnItsOwnThreadDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Dataset ds = makeDataset(DatasetId::kSift, 300, 1, 3);
+    const HnswIndex idx(*ds.base, Metric::kL2, HnswParams{8, 40, 42});
+    const float *q = ds.queries[0].data();
+    ReentrantObserver obs(idx, q);
+    EXPECT_DEATH((void)idx.search(q, 10, 32, obs),
+                 "re-entrant HNSW search on one thread");
 }
 
 } // namespace

@@ -197,21 +197,6 @@ TEST(HostCpu, MultiLineReadsOverlap)
     EXPECT_LT(span_for(8), 4 * span_for(1));
 }
 
-TEST(HostCpu, UncachedTransfersComplete)
-{
-    sim::EventQueue eq;
-    cpu::HostParams hp;
-    dram::TimingParams tp;
-    dram::OrgParams org;
-    cpu::HostCpu host(eq, hp, tp, org);
-
-    int done = 0;
-    host.writeUncached(0, 0, [&] { ++done; });
-    host.readUncached(1, 64, [&] { ++done; });
-    eq.run();
-    EXPECT_EQ(done, 2);
-}
-
 TEST(NdpUnitStress, BackpressurePastArchitecturalSlots)
 {
     // Drive every QSHR well past its 8 architectural slots: the unit

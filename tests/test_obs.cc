@@ -3,9 +3,6 @@
  * Observability-layer tests: registry semantics (counters, gauges,
  * histograms, shard merging across threads), snapshot JSON shape, and
  * the Chrome-trace writer's off-by-default behaviour.
- *
- * The whole suite is a no-op (beyond stub-API coverage) when the
- * library was built with -DANSMET_OBS=OFF.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +18,6 @@
 
 namespace ansmet::obs {
 namespace {
-
-#ifndef ANSMET_OBS_DISABLED
 
 class RegistryTest : public ::testing::Test
 {
@@ -265,24 +260,6 @@ TEST(TraceWriterTest, DisabledWithoutEnv)
     tw.flush();
     EXPECT_EQ(tw.dropped(), 0u);
 }
-
-#else // ANSMET_OBS_DISABLED
-
-TEST(ObsDisabled, StubsAreInertButLinkable)
-{
-    Counter c = Registry::instance().counter("x");
-    c.add(100);
-    Gauge g = Registry::instance().gauge("y");
-    g.set(1);
-    Histogram h = Registry::instance().histogram("z");
-    h.sample(1);
-    const Snapshot snap = Registry::instance().snapshot();
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_EQ(Registry::instance().snapshotJson(), "{}");
-    EXPECT_FALSE(TraceWriter::instance().enabled());
-}
-
-#endif // ANSMET_OBS_DISABLED
 
 } // namespace
 } // namespace ansmet::obs

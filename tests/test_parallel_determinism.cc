@@ -102,8 +102,9 @@ TEST(ParallelDeterminism, ConcurrentSearchMatchesSerial)
     for (std::size_t q = 0; q < ds.queries.size(); ++q)
         serial[q] = idx.search(ds.queries[q].data(), 10, 64);
 
-    // Search is const and uses leased visit scratch, so many threads
-    // may query one index at once with identical per-query results.
+    // Search is const and each thread has its own visit scratch, so
+    // many threads may query one index at once with identical
+    // per-query results.
     std::vector<std::vector<VectorId>> parallel(ds.queries.size());
     runtime::parallelFor(0, ds.queries.size(),
                          [&](std::size_t lo, std::size_t hi) {

@@ -40,14 +40,14 @@ conventions that neither the compiler nor clang-tidy checks:
                            capture budget); std::function would put its
                            capture back on the heap per event.
   R7  ansmet-lockorder     The static lock-acquisition graph must be
-                           acyclic. Scoped acquisitions (MutexLock /
-                           ReaderLock / WriterLock from common/sync.h,
-                           plus ANSMET_REQUIRES preconditions) are
-                           collected per function, propagated through
-                           direct calls, and any cycle in the resulting
-                           order graph is reported with its full path —
-                           a cycle is a latent deadlock even if today's
-                           schedules never interleave it.
+                           acyclic. Scoped acquisitions (MutexLock from
+                           common/sync.h, plus ANSMET_REQUIRES
+                           preconditions) are collected per function,
+                           propagated through direct calls, and any
+                           cycle in the resulting order graph is
+                           reported with its full path — a cycle is a
+                           latent deadlock even if today's schedules
+                           never interleave it.
   R8  ansmet-danglecapture A callback handed to schedule()/scheduleIn()
                            or stored in an onComplete field
                            (dram::Request, ndp::NdpTask) runs after the
@@ -76,11 +76,11 @@ conventions that neither the compiler nor clang-tidy checks:
   R12 ansmet-cbblock       Deferred callbacks (schedule()/scheduleIn()
                            arguments and onComplete fields) in the
                            sim-hot directories must not block: no
-                           MutexLock/ReaderLock/WriterLock acquisition,
-                           no .wait() parking, and no call to a
-                           same-file function that (transitively,
-                           file-locally) acquires a lock. Atomics and
-                           seqlock reads are naturally exempt.
+                           MutexLock acquisition, no .wait() parking,
+                           and no call to a same-file function that
+                           (transitively, file-locally) acquires a
+                           lock. Atomics and seqlock reads are
+                           naturally exempt.
 
 Suppression: a finding is waived by `// NOLINT(<rule>): reason` on the
 same line or `// NOLINTNEXTLINE(<rule>): reason` on the line above,
@@ -163,8 +163,8 @@ SCHEDULE_CALLS = ("schedule", "scheduleIn", "scheduleCancelable",
                   "scheduleInCancelable")
 
 # R7: the scoped-capability RAII classes from src/common/sync.h.
-LOCK_CLASSES = {"MutexLock", "ReaderLock", "WriterLock"}
-REQUIRES_MACROS = {"ANSMET_REQUIRES", "ANSMET_REQUIRES_SHARED"}
+LOCK_CLASSES = {"MutexLock"}
+REQUIRES_MACROS = {"ANSMET_REQUIRES"}
 
 # R8: struct fields holding completion callbacks that outlive the
 # assigning frame (dram::Request::onComplete, ndp::NdpTask::onComplete).
@@ -602,9 +602,8 @@ def check_raw_sync(path, tokens, waived, findings):
             findings.append(Finding(
                 path, tok.line, "R4",
                 f"raw std::{tok.spelling}: use the annotated wrappers in "
-                f"common/sync.h (Mutex/SharedMutex/CondVar + MutexLock/"
-                f"ReaderLock/WriterLock) so thread-safety analysis sees "
-                f"the contract"))
+                f"common/sync.h (Mutex/CondVar + MutexLock) so "
+                f"thread-safety analysis sees the contract"))
         else:
             findings.append(Finding(
                 path, tok.line, "R4",
