@@ -99,8 +99,8 @@ resolveKernels()
 {
     static const KernelOps *resolved = [] {
         SimdLevel level = bestSimdLevel();
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-        // queried once under the static-init guard; env is not mutated.
+        // Read-only knob, queried once under the static-init guard.
+        // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
         if (const char *env = std::getenv("ANSMET_KERNEL")) {
             SimdLevel want;
             if (!parseSimdLevel(env, &want)) {

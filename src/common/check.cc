@@ -11,8 +11,8 @@ namespace {
 bool
 auditInit()
 {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // read once during static initialization; nothing mutates the env.
+    // Read-only config knob, read once during static initialization.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
     if (const char *env = std::getenv("ANSMET_AUDIT"))
         return env[0] != '\0' && env[0] != '0';
 #if defined(ANSMET_AUDIT_DEFAULT_ON) || !defined(NDEBUG)

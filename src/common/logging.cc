@@ -16,8 +16,8 @@ panicImpl(const char *file, int line, const std::string &msg)
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): terminating on a fatal
-    // error; a racing second fatal path at worst double-runs atexit.
+    // A racing second fatal path at worst double-runs atexit handlers.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): terminating on a fatal error.
     std::exit(1);
 }
 

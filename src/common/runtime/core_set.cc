@@ -13,8 +13,8 @@ namespace ansmet::runtime {
 unsigned
 CoreSet::configuredLanes()
 {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // queried before any runtime thread exists; nothing mutates the env.
+    // Read-only config knob, queried before any runtime thread exists.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
     if (const char *env = std::getenv("ANSMET_THREADS")) {
         const long v = std::strtol(env, nullptr, 10);
         if (v >= 1)
@@ -93,8 +93,8 @@ CoreSet::parse(const char *spec)
 CoreSet
 CoreSet::configured()
 {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // queried before any runtime thread exists; nothing mutates the env.
+    // Read-only config knob, queried before any runtime thread exists.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
     if (const char *env = std::getenv("ANSMET_CORES")) {
         CoreSet cs = parse(env);
         // A core the machine does not have would cost a lane that

@@ -30,7 +30,9 @@
  * std::mutex / std::condition_variable directly;
  * tools/ansmet_lint.py rule R4 (ansmet-rawsync) enforces that every
  * other file uses these wrappers, which is what keeps the annotation
- * coverage from silently eroding.
+ * coverage from silently eroding. The same rule confines the wrappers
+ * to src/common/runtime and src/obs, where no code path holds one lock
+ * while acquiring another.
  */
 
 #ifndef ANSMET_COMMON_SYNC_H

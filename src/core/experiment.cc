@@ -27,6 +27,9 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 std::filesystem::path
 cacheDir()
 {
+    // Read-only config knob, read per cache access; the env is set (by
+    // tests) only before any experiment starts.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): no setenv races this read.
     if (const char *env = std::getenv("ANSMET_CACHE"))
         return env;
     return ".ansmet_cache";

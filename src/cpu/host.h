@@ -32,7 +32,6 @@ namespace ansmet::cpu {
 struct HostParams
 {
     double freqGHz = 3.2;
-    unsigned cores = 16;
 
     /** SIMD lanes per cycle for distance kernels (FP32 elements). */
     unsigned simdLanes = 16;

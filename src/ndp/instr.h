@@ -4,65 +4,16 @@
  *
  * Instructions ride on regular DDR commands to reserved addresses: one
  * 64 B WRITE each for configure and set-search, up to 16 WRITEs for a
- * 1 kB set-query, and a READ for poll. The structs below carry the
- * architectural payloads; the timing cost of each instruction is one
- * buffer-chip bus transfer on the host channel (see
- * MemController::enqueueBusTransfer).
+ * 1 kB set-query, and a READ for poll. The timing cost of each
+ * instruction is one buffer-chip bus transfer on the host channel (see
+ * MemController::enqueueBusTransfer); a set-query costs
+ * setQueryWrites() of them.
  */
 
 #ifndef ANSMET_NDP_INSTR_H
 #define ANSMET_NDP_INSTR_H
 
-#include <array>
-#include <cstdint>
-
-#include "anns/distance.h"
-#include "anns/scalar.h"
-#include "common/types.h"
-
 namespace ansmet::ndp {
-
-/** configure: broadcast once per (re)configuration. */
-struct ConfigureInstr
-{
-    anns::ScalarType elemType;
-    std::uint16_t dims;
-    anns::Metric metric;
-    // Early-termination parameters.
-    std::uint8_t commonPrefixLen;
-    std::uint32_t commonPrefixBits;
-    std::uint8_t nc;
-    std::uint8_t tc;
-    std::uint8_t nf;
-};
-
-/** set-query: one 64 B slice of the query vector into a QSHR. */
-struct SetQueryInstr
-{
-    std::uint8_t qshrId;
-    std::uint8_t seq; //!< which 64 B slice (0..15 for 1 kB)
-};
-
-/** One comparison task inside a set-search payload. */
-struct SearchTaskDesc
-{
-    std::uint32_t vectorAddr; //!< rank-local line address
-    float distThreshold;
-};
-
-/** set-search: up to 8 tasks in one 64 B WRITE. */
-struct SetSearchInstr
-{
-    std::uint8_t qshrId;
-    std::uint8_t numTasks; //!< 1..8
-    std::array<SearchTaskDesc, 8> tasks;
-};
-
-/** poll: DDR READ returning the QSHR's result array. */
-struct PollInstr
-{
-    std::uint8_t qshrId;
-};
 
 /** Bytes of query data one set-query WRITE carries. */
 constexpr unsigned kSetQueryBytes = 64;

@@ -37,7 +37,6 @@ struct NdpParams
     double freqGHz = 1.2;
     unsigned numQshrs = 32;
     unsigned tasksPerQshr = 8;
-    unsigned computeLanes = 16; //!< 32-bit multipliers/adders
     unsigned qshrLookupCycles = 1;
     /**
      * Outstanding line fetches per task. The bound check gates

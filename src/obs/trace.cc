@@ -122,15 +122,15 @@ TraceWriter::impl() const
 
 TraceWriter::TraceWriter()
 {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // queried once under the static-init guard; env is not mutated.
+    // Read-only config knob, queried once under the static-init guard.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
     const char *path = std::getenv("ANSMET_TRACE");
     if (path == nullptr || *path == '\0')
         return;
     Impl &i = impl();
     i.path = path;
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // queried once under the static-init guard; env is not mutated.
+    // Read-only config knob, queried once under the static-init guard.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
     if (const char *lim = std::getenv("ANSMET_TRACE_LIMIT")) {
         char *end = nullptr;
         unsigned long long v = std::strtoull(lim, &end, 10);
@@ -240,6 +240,9 @@ TraceWriter::flush()
     if (!enabled_)
         return;
     Impl &i = impl();
+    // Snapshot before taking mu: no code path holds one lock while
+    // acquiring another (the registry locks its own mutex).
+    const std::string metrics = Registry::instance().snapshotJson();
     MutexLock lock(i.mu);
 
     std::string out;
@@ -297,7 +300,7 @@ TraceWriter::flush()
     out += "\n],\n\"otherData\":{\"droppedEvents\":";
     out += std::to_string(i.dropped.load(std::memory_order_relaxed));
     out += "},\n\"metrics\":";
-    out += Registry::instance().snapshotJson();
+    out += metrics;
     out += "}\n";
 
     std::FILE *f = std::fopen(i.path.c_str(), "w");

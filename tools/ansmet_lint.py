@@ -3,8 +3,8 @@
 
 ANSMET's figures depend on bitwise-deterministic replay, and its
 locking contracts are enforced at compile time through the annotated
-wrappers in src/common/sync.h. This linter statically proves the
-conventions that neither the compiler nor clang-tidy checks:
+wrappers in src/common/sync.h. This linter checks the conventions that
+neither the compiler nor clang-tidy checks:
 
   R1  ansmet-determinism   No nondeterminism source in the simulator-
                            deterministic directories (src/sim, src/ndp,
@@ -24,7 +24,12 @@ conventions that neither the compiler nor clang-tidy checks:
                            std::condition_variable (or std lock RAII
                            over them) outside src/common/sync.h — the
                            annotated wrappers are mandatory so Clang's
-                           thread-safety analysis sees every lock.
+                           thread-safety analysis sees every lock. The
+                           wrappers themselves (Mutex, MutexLock,
+                           CondVar) appear only in src/common/runtime/
+                           and src/obs/, so no simulator path takes a
+                           lock, inside an event callback or anywhere
+                           else.
                            Likewise no direct std::thread / std::jthread
                            / std::async outside src/common/runtime/ —
                            parallel work goes through
@@ -39,57 +44,39 @@ conventions that neither the compiler nor clang-tidy checks:
                            (an InlineFunction with a compile-enforced
                            capture budget); std::function would put its
                            capture back on the heap per event.
-  R7  ansmet-lockorder     The static lock-acquisition graph must be
-                           acyclic. Scoped acquisitions (MutexLock from
-                           common/sync.h, plus ANSMET_REQUIRES
-                           preconditions) are collected per function,
-                           propagated through direct calls, and any
-                           cycle in the resulting order graph is
-                           reported with its full path — a cycle is a
-                           latent deadlock even if today's schedules
-                           never interleave it.
   R8  ansmet-danglecapture A callback handed to schedule()/scheduleIn()
                            or stored in an onComplete field
                            (dram::Request, ndp::NdpTask) runs after the
                            enclosing frame is gone, so its lambda must
                            not capture by reference ([&], [&x],
                            [&x = ...]); capture by value or [this].
-  R9  ansmet-detflow       No nondeterministic value may flow into
-                           simulated state in the deterministic
-                           directories. Two layers: any std::unordered_*
-                           container mention is flagged at the
-                           declaration (bucket order is the hazard), and
-                           a conservative interprocedural taint pass
-                           tracks values derived from unordered-
-                           container iteration, pointer-to-integer
-                           casts, std::hash over pointers, and thread
-                           ids through assignments, returns, and
-                           same-file calls into sinks: event-scheduling
-                           arguments, simulator state writes (members
-                           named `*_`), and obs-recorded values.
+  R9  ansmet-detflow       No nondeterminism source in the deterministic
+                           directories, flagged where it appears: any
+                           std::unordered_* container mention (bucket
+                           order is the hazard), iteration over a name
+                           the file declares unordered (.begin()-family
+                           calls and range-for, so a lookup-only waiver
+                           on the declaration still forbids iterating),
+                           thread ids (get_id, pthread_self), std::hash
+                           of a pointer type, and reinterpret_cast to
+                           an integer type.
   R10 ansmet-checkpure     No side effect inside the arguments of
                            ANSMET_DCHECK* : audit-off builds skip the
                            whole expression (common/check.h gates it on
                            auditEnabled()), so `++`, assignments, and
                            mutating calls (pop(), erase(), next(), ...)
                            silently disappear in release runs.
-  R12 ansmet-cbblock       Deferred callbacks (schedule()/scheduleIn()
-                           arguments and onComplete fields) in the
-                           sim-hot directories must not block: no
-                           MutexLock acquisition, no .wait() parking,
-                           and no call to a same-file function that
-                           (transitively, file-locally) acquires a
-                           lock. Atomics and seqlock reads are
-                           naturally exempt.
+
+R6, R7, R11 and R12 are retired; the remaining rules keep their ids.
 
 Suppression: a finding is waived by `// NOLINT(<rule>): reason` on the
 same line or `// NOLINTNEXTLINE(<rule>): reason` on the line above,
-using the rule names in the middle column (for R7, on the acquisition
-or call line that contributes the unwanted edge). R3 itself validates
-those comments, so a suppression can never be silent.
+using the rule names in the middle column. R3 itself validates those
+comments, so a suppression can never be silent.
 
-Tokens come from a built-in C++ lexer (lex_tokens); every rule runs
-on that one token stream, over a full scan of src/ by default.
+Every rule is a token rule: it reads one file's token stream from a
+built-in C++ lexer (lex_tokens), and a run scans all of src/ by
+default.
 
 Output: `--format text` (default) prints one line per finding;
 `--format sarif` emits a SARIF 2.1.0 log (for code-scanning upload).
@@ -144,7 +131,14 @@ BANNED_SYNC = {
     "condition_variable_any", "lock_guard", "unique_lock", "shared_lock",
     "scoped_lock",
 }
-SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
+
+# R4 (lock-confinement half): the sync.h wrappers are confined to the
+# runtime and the observability layer. Simulator code shares only
+# immutable state across parallel stages, so it never takes a lock —
+# in particular never inside an event — and with the obs and runtime
+# locks never nested, no code path holds two locks.
+SYNC_WRAPPERS = {"Mutex", "MutexLock", "CondVar"}
+LOCK_DIRS = ("src/common/runtime", "src/obs")
 
 # R4 (thread-spawn half): raw std::thread / std::jthread / std::async
 # outside the runtime. Centralizing thread creation in
@@ -155,16 +149,12 @@ SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
 THREAD_EXEMPT_DIRS = ("src/common/runtime",)
 
-# R5/R8/R12: directories whose schedule()/scheduleIn() calls sit on the
+# R5/R8: directories whose schedule()/scheduleIn() calls sit on the
 # simulated hot path.
 SIM_HOT_DIRS = ("src/sim", "src/ndp", "src/dram", "src/cpu", "src/core",
                 "src/cache")
 SCHEDULE_CALLS = ("schedule", "scheduleIn", "scheduleCancelable",
                   "scheduleInCancelable")
-
-# R7: the scoped-capability RAII classes from src/common/sync.h.
-LOCK_CLASSES = {"MutexLock"}
-REQUIRES_MACROS = {"ANSMET_REQUIRES"}
 
 # R8: struct fields holding completion callbacks that outlive the
 # assigning frame (dram::Request::onComplete, ndp::NdpTask::onComplete).
@@ -180,18 +170,6 @@ _NONDET_CALLS = {"get_id", "pthread_self"}
 _INT_CAST_TARGETS = {"uintptr_t", "intptr_t", "size_t", "ptrdiff_t",
                      "uint64_t", "uint32_t", "int64_t", "int32_t",
                      "unsigned", "long", "int", "short"}
-# Methods through which a tainted element taints its container.
-_GROW_METHODS = {"push_back", "emplace_back", "push_front",
-                 "emplace_front", "insert", "emplace", "push",
-                 "assign", "append"}
-# obs recording surfaces (Counter/Gauge/Histogram/TraceWriter).
-_OBS_RECORD_METHODS = {"record", "inc", "add", "set", "observe"}
-# Ids never worth tainting in a range-for declaration (type furniture).
-_TYPEISH_IDS = {"auto", "const", "std", "size_t", "uint8_t", "uint16_t",
-                "uint32_t", "uint64_t", "int8_t", "int16_t", "int32_t",
-                "int64_t", "unsigned", "signed", "int", "long", "short",
-                "char", "bool", "float", "double", "pair", "tuple",
-                "string", "string_view"}
 
 # R10: ANSMET_DCHECK* arguments vanish in audit-off builds; these
 # member calls mutate their receiver, so calling them there loses the
@@ -204,21 +182,15 @@ _MUTATING_METHODS = {"pop", "tryPop", "push", "tryPush", "tryOffer",
                      "store", "exchange", "fetch_add", "fetch_sub",
                      "next"}
 
-# R12: parking calls banned inside deferred callbacks (CondVar::wait
-# and friends); lock RAII comes from LOCK_CLASSES above.
-_BLOCKING_WAITS = {"wait", "waitAll"}
-
 RULES = {
     "R1": "ansmet-determinism",
     "R2": "ansmet-rawnew",
     "R3": "ansmet-nolint",
     "R4": "ansmet-rawsync",
     "R5": "ansmet-eventcapture",
-    "R7": "ansmet-lockorder",
     "R8": "ansmet-danglecapture",
     "R9": "ansmet-detflow",
     "R10": "ansmet-checkpure",
-    "R12": "ansmet-cbblock",
 }
 
 NOLINT_RE = re.compile(
@@ -390,7 +362,7 @@ def is_waived(waived, rule_name, line):
 
 
 # --------------------------------------------------------------------
-# Structural helpers shared by the R7-R12 analyses
+# Token-slice helpers shared by the rules
 # --------------------------------------------------------------------
 
 def code_tokens(tokens):
@@ -418,22 +390,6 @@ def skip_balanced(code, i, open_s, close_s):
 def _tok_at(code, k):
     """Spelling of code[k], or '' when out of range."""
     return code[k].spelling if 0 <= k < len(code) else ""
-
-
-def _match_backward(code, j, open_s, close_s):
-    """code[j] must be close_s; return the index of its matching
-    open_s, or None when unbalanced."""
-    depth = 0
-    while j >= 0:
-        s = code[j].spelling
-        if s == close_s:
-            depth += 1
-        elif s == open_s:
-            depth -= 1
-            if depth == 0:
-                return j
-        j -= 1
-    return None
 
 
 def _skip_angles(code, i, hi):
@@ -475,12 +431,8 @@ def split_top_commas(arg_tokens):
     return args
 
 
-def render_expr(expr_tokens):
-    return "".join(t.spelling for t in expr_tokens)
-
-
 # --------------------------------------------------------------------
-# Rule implementations R1-R5 (token-level)
+# Rule implementations R1-R5
 # --------------------------------------------------------------------
 
 def path_in(path, prefixes):
@@ -579,37 +531,40 @@ def check_raw_sync(path, tokens, waived, findings):
     norm = path.replace(os.sep, "/")
     if norm.endswith("common/sync.h"):
         return
-    spawn_exempt = any(f"/{d}/" in norm or norm.startswith(f"{d}/")
-                       for d in THREAD_EXEMPT_DIRS)
+    spawn_exempt = path_in(norm, THREAD_EXEMPT_DIRS)
+    lock_exempt = path_in(norm, LOCK_DIRS)
     code = [t for t in tokens if t.kind in ("id", "kw", "punct")]
     for idx, tok in enumerate(code):
         if tok.kind != "id":
             continue
-        is_sync = tok.spelling in BANNED_SYNC
-        is_spawn = tok.spelling in BANNED_THREAD_SPAWN and not spawn_exempt
-        if not (is_sync or is_spawn):
-            continue
-        # Require the std:: qualification: `std` `:` `:` `mutex`.
-        if idx < 3:
-            continue
-        if not (code[idx - 1].spelling == ":" and
-                code[idx - 2].spelling == ":" and
-                code[idx - 3].spelling == "std"):
-            continue
-        if is_waived(waived, RULES["R4"], tok.line):
-            continue
-        if is_sync:
-            findings.append(Finding(
-                path, tok.line, "R4",
-                f"raw std::{tok.spelling}: use the annotated wrappers in "
-                f"common/sync.h (Mutex/CondVar + MutexLock) so "
-                f"thread-safety analysis sees the contract"))
+        name = tok.spelling
+        if name in SYNC_WRAPPERS:
+            if lock_exempt:
+                continue
+            message = (f"{name} outside src/common/runtime and src/obs: "
+                       f"locks live only there, so simulator code never "
+                       f"blocks inside an event; share immutable state "
+                       f"instead")
+        elif name in BANNED_SYNC or (name in BANNED_THREAD_SPAWN and
+                                     not spawn_exempt):
+            # Require the std:: qualification: `std` `:` `:` `mutex`.
+            if not (_tok_at(code, idx - 1) == ":" and
+                    _tok_at(code, idx - 2) == ":" and
+                    _tok_at(code, idx - 3) == "std"):
+                continue
+            if name in BANNED_SYNC:
+                message = (f"raw std::{name}: use the annotated wrappers "
+                           f"in common/sync.h (Mutex/CondVar + MutexLock) "
+                           f"so thread-safety analysis sees the contract")
+            else:
+                message = (f"raw std::{name}: run parallel work through "
+                           f"runtime::parallelFor (common/runtime/"
+                           f"runtime.h) so worker count and core affinity "
+                           f"stay centralized")
         else:
-            findings.append(Finding(
-                path, tok.line, "R4",
-                f"raw std::{tok.spelling}: run parallel work through "
-                f"runtime::parallelFor (common/runtime/runtime.h) so "
-                f"worker count and core affinity stay centralized"))
+            continue
+        if not is_waived(waived, RULES["R4"], tok.line):
+            findings.append(Finding(path, tok.line, "R4", message))
 
 
 def check_event_capture(path, tokens, waived, findings):
@@ -646,356 +601,6 @@ def check_event_capture(path, tokens, waived, findings):
                         "(sim::EventQueue::Callback); a std::function "
                         "capture heap-allocates on the hot path"))
             j += 1
-
-
-# --------------------------------------------------------------------
-# R7 ansmet-lockorder: static lock-acquisition cycle detection
-# --------------------------------------------------------------------
-
-# Keywords that look like `name (` but never head a definition or call
-# worth tracking.
-_CONTROL = {
-    "if", "for", "while", "switch", "return", "sizeof", "alignof",
-    "decltype", "static_assert", "catch", "throw", "assert", "else",
-    "do", "case", "default", "co_await", "co_return", "co_yield",
-    "alignas", "noexcept", "typeid", "requires",
-}
-
-
-class FuncInfo:
-    __slots__ = ("name", "owner", "path", "acquisitions", "calls",
-                 "requires", "params", "body", "t_returns",
-                 "t_param_sink")
-
-    def __init__(self, name, owner, path):
-        self.name = name  # "Class::method" or bare function name
-        self.owner = owner  # enclosing/qualifying class, or None
-        self.path = path
-        # (lock_id, line, frozenset(locks held at the acquisition))
-        self.acquisitions = []
-        # (callee name, explicit qualifier or None, line,
-        #  frozenset(locks held))
-        self.calls = []
-        self.requires = set()  # ANSMET_REQUIRES locks, held body-wide
-        self.params = []  # parameter names, in declaration order
-        self.body = (0, 0)  # [start, end) into the file's code tokens
-        # R9 taint summary: labels a return value may carry ("src" or
-        # a parameter index), and param index -> sink description for
-        # parameters that reach a sink inside this function.
-        self.t_returns = set()
-        self.t_param_sink = {}
-
-
-def _qualify(owner, expr):
-    return f"{owner}::{expr}" if owner else expr
-
-
-def _scan_function_body(code, body_start, owner, func):
-    """Walk one function body collecting scoped-lock acquisitions and
-    every call site with the set of locks held at it. Returns the index
-    just past the closing brace."""
-    n = len(code)
-    i = body_start  # at '{'
-    depth = 0
-    active = []  # (depth at acquisition, lock_id)
-    base = frozenset(func.requires)
-    while i < n:
-        t = code[i]
-        s = t.spelling
-        if s == "{":
-            depth += 1
-            i += 1
-            continue
-        if s == "}":
-            depth -= 1
-            while active and active[-1][0] > depth:
-                active.pop()
-            i += 1
-            if depth == 0:
-                return i
-            continue
-        if (t.kind == "id" and s in LOCK_CLASSES and i + 2 < n and
-                code[i + 1].kind == "id" and
-                code[i + 2].spelling in ("(", "{")):
-            open_s = code[i + 2].spelling
-            close_s = ")" if open_s == "(" else "}"
-            end = skip_balanced(code, i + 2, open_s, close_s)
-            if end is not None:
-                lock_id = _qualify(owner,
-                                   render_expr(code[i + 3:end - 1]))
-                held = base | {lk for _, lk in active}
-                func.acquisitions.append((lock_id, t.line,
-                                          frozenset(held)))
-                active.append((depth, lock_id))
-                i = end
-                continue
-        if (t.kind == "id" and s not in _CONTROL and
-                s not in LOCK_CLASSES and i + 1 < n and
-                code[i + 1].spelling == "("):
-            qual = None
-            keep = True
-            if i >= 1 and code[i - 1].spelling in (".", "->"):
-                # Member call on some object. Only `this->f()` is
-                # resolvable by name; a call through another object
-                # (`obj.load()`, `ptr->find()`) routinely collides
-                # with unrelated project functions, so skip it rather
-                # than poison the graph with false edges.
-                keep = (code[i - 1].spelling == "->" and i >= 2 and
-                        code[i - 2].spelling == "this")
-            elif (i >= 3 and code[i - 1].spelling == ":" and
-                    code[i - 2].spelling == ":" and
-                    code[i - 3].kind == "id" and
-                    code[i - 3].spelling not in ("std",)):
-                qual = code[i - 3].spelling
-            if keep:
-                held = base | {lk for _, lk in active}
-                func.calls.append((s, qual, t.line, frozenset(held)))
-        i += 1
-    return n
-
-
-def parse_lock_functions(path, tokens, code=None):
-    """Structural parse of one file: function definitions with their
-    scoped-lock acquisitions, ANSMET_REQUIRES preconditions, the calls
-    made under held locks, parameter names, and body token ranges (the
-    R9/R12 passes index into the same code-token list). Tolerant by
-    construction — anything it cannot prove to be a function definition
-    is skipped."""
-    if code is None:
-        code = code_tokens(tokens)
-    n = len(code)
-    funcs = []
-    class_stack = []  # (name, depth inside the class body)
-    depth = 0
-    i = 0
-    while i < n:
-        t = code[i]
-        s = t.spelling
-        if s == "{":
-            depth += 1
-            i += 1
-            continue
-        if s == "}":
-            depth -= 1
-            while class_stack and depth < class_stack[-1][1]:
-                class_stack.pop()
-            i += 1
-            continue
-        if t.kind == "id" and s in ("class", "struct"):
-            name = None
-            j = i + 1
-            while j < n and code[j].spelling not in ("{", ";", ":"):
-                if code[j].spelling == "(":  # attribute macro args
-                    j = skip_balanced(code, j, "(", ")") or n
-                    continue
-                if code[j].kind == "id":
-                    name = code[j].spelling
-                j += 1
-            while j < n and code[j].spelling not in ("{", ";"):
-                j += 1
-            if j < n and code[j].spelling == "{" and name:
-                class_stack.append((name, depth + 1))
-            i += 1
-            continue
-        if (t.kind == "id" and s not in _CONTROL and i + 1 < n and
-                code[i + 1].spelling == "("):
-            parsed = _try_parse_function(path, code, i, class_stack)
-            if parsed is not None:
-                func, next_i = parsed
-                funcs.append(func)
-                i = next_i
-                continue
-        i += 1
-    return funcs
-
-
-def _try_parse_function(path, code, i, class_stack):
-    """Attempt to parse a function definition headed at code[i]
-    (an identifier followed by '('). Returns (FuncInfo, index past the
-    body) or None when this is not a definition."""
-    n = len(code)
-    name = code[i].spelling
-    owner = None
-    if (i >= 3 and code[i - 1].spelling == ":" and
-            code[i - 2].spelling == ":" and code[i - 3].kind == "id"):
-        owner = code[i - 3].spelling
-    elif class_stack:
-        owner = class_stack[-1][0]
-    params_end = skip_balanced(code, i + 1, "(", ")")
-    if params_end is None:
-        return None
-    requires = set()
-    seen_init_colon = False
-    k = params_end
-    while k < n:
-        s = code[k].spelling
-        if s in (";", "}", "="):
-            return None  # declaration, `= default/delete`, initializer
-        if (code[k].kind == "id" and s in REQUIRES_MACROS and
-                k + 1 < n and code[k + 1].spelling == "("):
-            end = skip_balanced(code, k + 1, "(", ")")
-            if end is None:
-                return None
-            for arg in split_top_commas(code[k + 2:end - 1]):
-                if arg:
-                    requires.add(_qualify(owner, render_expr(arg)))
-            k = end
-            continue
-        if s == "(":  # noexcept(...), other annotation macros
-            k = skip_balanced(code, k, "(", ")") or n
-            continue
-        if s == ":":
-            seen_init_colon = True
-            k += 1
-            continue
-        if s == "{":
-            if seen_init_colon and code[k - 1].kind == "id":
-                # Brace member-init inside a ctor init list: b_{2}
-                k = skip_balanced(code, k, "{", "}") or n
-                continue
-            break  # the function body
-        k += 1
-    else:
-        return None
-    func = FuncInfo(f"{owner}::{name}" if owner else name, owner, path)
-    func.requires = requires
-    for slice_ in split_top_commas(code[i + 2:params_end - 1]):
-        ids = []
-        for tk in slice_:
-            if tk.spelling == "=":
-                break  # default argument: the name precedes it
-            if tk.kind == "id":
-                ids.append(tk.spelling)
-        # The parameter name is the last identifier of the declarator
-        # (`const std::vector<int> &xs` -> xs); unnamed params keep "".
-        func.params.append(ids[-1] if ids else "")
-    body_end = _scan_function_body(code, k, owner, func)
-    func.body = (k, body_end)
-    return func, body_end
-
-
-def check_lock_order(lock_facts, findings):
-    """Global pass: build the lock-order graph across every scanned
-    file and report each cycle once, with its full path.
-
-    lock_facts: list of (path, [FuncInfo], waived-map) triples.
-    """
-    funcs_by_last = {}
-    for _, funcs, _ in lock_facts:
-        for f in funcs:
-            funcs_by_last.setdefault(f.name.split("::")[-1],
-                                     []).append(f)
-
-    def resolve(callee, qual, caller):
-        """Candidate definitions for a call site. An explicit `Foo::`
-        qualifier pins the owner; an unqualified call resolves only to
-        methods of the caller's own class or to free functions —
-        cross-class resolution by bare name is how unrelated functions
-        that happen to share a method name (e.g. `load`) would
-        otherwise pollute the graph."""
-        out = []
-        for g in funcs_by_last.get(callee, ()):
-            if qual is not None:
-                if g.owner == qual:
-                    out.append(g)
-            elif g.owner is None or g.owner == caller.owner:
-                out.append(g)
-        return out
-
-    # Transitive may-acquire sets, propagated through direct calls.
-    every = [f for _, funcs, _ in lock_facts for f in funcs]
-    trans = {id(f): {a[0] for a in f.acquisitions} for f in every}
-    changed = True
-    rounds = 0
-    while changed and rounds < 64:
-        changed = False
-        rounds += 1
-        for f in every:
-            for callee, qual, _, _ in f.calls:
-                for g in resolve(callee, qual, f):
-                    add = trans[id(g)] - trans[id(f)]
-                    if add:
-                        trans[id(f)] |= add
-                        changed = True
-
-    # Edges A -> B: lock B acquired (directly or via a call) while A is
-    # held. Witness: where the edge is introduced.
-    edges = {}  # (A, B) -> (path, line, description)
-    for path, funcs, waived in lock_facts:
-        for f in funcs:
-            for lock, line, held in f.acquisitions:
-                if is_waived(waived, RULES["R7"], line):
-                    continue
-                for a in sorted(held):
-                    if a != lock:
-                        edges.setdefault(
-                            (a, lock),
-                            (path, line, f"{f.name} acquires {lock}"))
-            for callee, qual, line, held in f.calls:
-                if not held or is_waived(waived, RULES["R7"], line):
-                    continue
-                for g in resolve(callee, qual, f):
-                    for lock in sorted(trans[id(g)]):
-                        for a in sorted(held):
-                            if a != lock:
-                                edges.setdefault(
-                                    (a, lock),
-                                    (path, line,
-                                     f"{f.name} calls {g.name} which "
-                                     f"acquires {lock}"))
-
-    adj = {}
-    for (a, b) in edges:
-        adj.setdefault(a, []).append(b)
-    for nbrs in adj.values():
-        nbrs.sort()
-
-    # Iterative coloring DFS; every cycle is reported once, normalized
-    # by rotating its smallest lock to the front.
-    color = {}
-    reported = set()
-
-    def emit(cycle):
-        pivot = cycle.index(min(cycle))
-        norm = tuple(cycle[pivot:] + cycle[:pivot])
-        if norm in reported:
-            return
-        reported.add(norm)
-        ring = list(norm) + [norm[0]]
-        hops = []
-        for a, b in zip(ring, ring[1:]):
-            epath, eline, edesc = edges[(a, b)]
-            hops.append(f"{a} -> {b} [{edesc} at {epath}:{eline}]")
-        first = edges[(ring[0], ring[1])]
-        findings.append(Finding(
-            first[0], first[1], "R7",
-            "lock-order cycle (latent deadlock): "
-            + " -> ".join(ring) + "; " + "; ".join(hops)))
-
-    def dfs(root):
-        stack = [(root, iter(adj.get(root, ())))]
-        path = [root]
-        color[root] = "gray"
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == "gray":
-                    emit(path[path.index(nxt):])
-                elif color.get(nxt) is None:
-                    color[nxt] = "gray"
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = "black"
-                stack.pop()
-                path.pop()
-
-    for node in sorted(adj):
-        if color.get(node) is None:
-            dfs(node)
 
 
 # --------------------------------------------------------------------
@@ -1077,51 +682,11 @@ def check_dangle_capture(path, tokens, waived, findings):
 
 
 # --------------------------------------------------------------------
-# R9 ansmet-detflow: nondeterministic values flowing into simulated
-# state (conservative interprocedural taint over the token stream)
+# R9 ansmet-detflow: nondeterminism sources, flagged where they appear
 # --------------------------------------------------------------------
-#
-# Conservatism contract (see DESIGN.md): any expression CONTAINING a
-# tainted subexpression is tainted (no sanitization, no kill); taint
-# propagates through assignments (incl. compound and container-grow
-# calls), returns, and calls resolvable inside the same file (bare
-# names, this->, and Class:: qualified — member calls on other objects
-# are deliberately NOT resolved). Labels are "src" (a concrete
-# nondeterminism source) or an integer parameter index; a finding is
-# reported where a "src"-labelled value meets a sink, either directly
-# or through a callee whose parameter summary reaches one.
 
-
-def _source_at(code, j, hi, unordered):
-    """True when code[j] heads a nondeterminism source expression."""
-    t = code[j]
-    s = t.spelling
-
-    def at(k):
-        return code[k].spelling if k < hi else ""
-
-    if s in unordered:
-        if at(j + 1) == "." and at(j + 2) in _ITER_METHODS:
-            return True
-        if (at(j + 1) == "-" and at(j + 2) == ">" and
-                at(j + 3) in _ITER_METHODS):
-            return True
-        return False
-    if s in _NONDET_CALLS and at(j + 1) == "(":
-        return True
-    if s == "hash" and at(j + 1) == "<":
-        end = _skip_angles(code, j + 1, hi)
-        return end is not None and any(
-            code[k].spelling == "*" for k in range(j + 2, end - 1))
-    if s == "reinterpret_cast" and at(j + 1) == "<":
-        end = _skip_angles(code, j + 1, hi)
-        if end is None:
-            return False
-        tgt = code[j + 2:end - 1]
-        has_int = any(tk.spelling in _INT_CAST_TARGETS for tk in tgt)
-        has_ind = any(tk.spelling in ("*", "&") for tk in tgt)
-        return has_int and not has_ind
-    return False
+_BUCKET_ORDER = ("bucket iteration order depends on the hash function, "
+                 "insertion history, and stdlib version")
 
 
 def collect_unordered_names(code):
@@ -1146,321 +711,92 @@ def collect_unordered_names(code):
     return names
 
 
-class _TaintPass:
-    """One file's interprocedural taint analysis (R9)."""
+def _range_for_range(code, j):
+    """Tokens of the range expression of the range-for headed at
+    code[j] (`for`); [] for a classic for loop."""
+    end = skip_balanced(code, j + 1, "(", ")")
+    if end is None:
+        return []
+    head = code[j + 2:end - 1]
+    depth = 0
+    colon = None
+    for k, t in enumerate(head):
+        s = t.spelling
+        if s in "([{":
+            depth += 1
+        elif s in ")]}":
+            depth -= 1
+        elif depth == 0 and s == ";":
+            colon = None  # classic for, or a C++20 init-statement
+        elif (depth == 0 and s == ":" and colon is None and
+              _tok_at(head, k - 1) != ":" and _tok_at(head, k + 1) != ":"):
+            colon = k
+    return head[colon + 1:] if colon is not None else []
 
-    def __init__(self, path, code, funcs, unordered, waived):
-        self.path = path
-        self.code = code
-        self.funcs = funcs
-        self.unordered = unordered
-        self.waived = waived
-        self.found = {}  # (line, message) -> None; insertion-ordered
-        self.by_last = {}
-        for f in funcs:
-            self.by_last.setdefault(f.name.split("::")[-1],
-                                    []).append(f)
 
-    def resolve(self, callee, qual, owner):
-        """Same resolution discipline as the lock-order pass: an
-        explicit qualifier pins the owner; a bare call resolves to the
-        caller's own class or to free functions."""
-        out = []
-        for g in self.by_last.get(callee, ()):
-            if qual is not None:
-                if g.owner == qual:
-                    out.append(g)
-            elif g.owner is None or g.owner == owner:
-                out.append(g)
-        return out
-
-    def run(self, findings):
-        for f in self.funcs:
-            f.t_returns = set()
-            f.t_param_sink = {}
-        for _ in range(8):  # cross-function fixpoint over summaries
-            before = [(frozenset(f.t_returns),
-                       tuple(sorted(f.t_param_sink)))
-                      for f in self.funcs]
-            for f in self.funcs:
-                self._analyze(f)
-            after = [(frozenset(f.t_returns),
-                      tuple(sorted(f.t_param_sink)))
-                     for f in self.funcs]
-            if after == before:
-                break
-        for (line, message) in self.found:
-            if not is_waived(self.waived, RULES["R9"], line):
-                findings.append(Finding(self.path, line, "R9", message))
-
-    # -- per-function ------------------------------------------------
-
-    def _analyze(self, f):
-        env = {p: {k} for k, p in enumerate(f.params) if p}
-        for _ in range(8):  # intra-function fixpoint
-            snap = {k: set(v) for k, v in env.items()}
-            rsnap = set(f.t_returns)
-            psnap = dict(f.t_param_sink)
-            self._walk(f, env)
-            if (env == snap and f.t_returns == rsnap and
-                    f.t_param_sink == psnap):
-                break
-
-    def _walk(self, f, env):
-        code = self.code
-        lo, hi = f.body
-        j = lo
-        while j < hi:
-            t = code[j]
-            s = t.spelling
-            if t.kind == "id" and s == "for" and \
-                    _tok_at(code, j + 1) == "(":
-                j = self._range_for(f, env, j, hi)
-                continue
-            if t.kind == "id" and s == "return":
-                end = self._stmt_end(j + 1, hi)
-                f.t_returns |= self._labels(f, env, code[j + 1:end])
-                j = end
-                continue
-            if s == "=" and self._is_assign(j):
-                self._assign(f, env, j, hi)
-                j += 1
-                continue
-            if t.kind == "id" and _tok_at(code, j + 1) == "(":
-                self._call_site(f, env, j, hi)
-            j += 1
-
-    def _is_assign(self, j):
-        code = self.code
-        nxt = _tok_at(code, j + 1)
-        prv = _tok_at(code, j - 1)
-        if nxt == "=" or prv in ("=", "<", ">", "!"):
-            return False  # ==, <=, >=, !=
-        if prv in ("[", "operator") or nxt == "]":
-            return False  # [=] capture, operator=
-        return True
-
-    def _stmt_end(self, j, hi):
-        code = self.code
-        depth = 0
-        while j < hi:
-            s = code[j].spelling
-            if s in "([{":
-                depth += 1
-            elif s in ")]}":
-                if depth == 0:
-                    return j
-                depth -= 1
-            elif s in (";", ",") and depth == 0:
-                return j
-            j += 1
-        return hi
-
-    def _sink(self, f, labels, line, what):
-        if "src" in labels:
-            self.found[(line,
-                        f"nondeterministic value (derived from "
-                        f"unordered-container iteration order, pointer "
-                        f"bits, or a thread id) flows into {what}; "
-                        f"simulated outcomes must not depend on "
-                        f"it")] = None
-        for lbl in labels:
-            if isinstance(lbl, int):
-                f.t_param_sink.setdefault(lbl, what)
-
-    def _range_for(self, f, env, j, hi):
-        code = self.code
-        pe = skip_balanced(code, j + 1, "(", ")")
-        if pe is None or pe > hi:
-            return j + 1
-        inner = code[j + 2:pe - 1]
-        ci = None
-        for k, t in enumerate(inner):
-            if (t.spelling == ":" and
-                    _tok_at(inner, k - 1) != ":" and
-                    _tok_at(inner, k + 1) != ":"):
-                ci = k
-                break
-        if ci is None:
-            return j + 1  # classic for; the main walk scans its parts
-        decl, rng = inner[:ci], inner[ci + 1:]
-        labels = set(self._labels(f, env, rng))
-        if any(t.kind == "id" and t.spelling in self.unordered
-               for t in rng):
-            labels.add("src")
-        if labels:
-            for t in decl:
-                if t.kind == "id" and t.spelling not in _TYPEISH_IDS:
-                    env.setdefault(t.spelling, set()).update(labels)
-        return pe
-
-    def _assign(self, f, env, j, hi):
-        code = self.code
-        k = j - 1
-        if code[k].spelling in "+-*/%&|^":
-            k -= 1  # compound assignment: +=, |=, ...
-        while k >= 0 and code[k].spelling == "]":
-            op = _match_backward(code, k, "[", "]")
-            if op is None:
-                return
-            k = op - 1
-        if k < 0 or code[k].kind != "id":
-            return
-        target = code[k].spelling
-        end = self._stmt_end(j + 1, hi)
-        labels = self._labels(f, env, code[j + 1:end])
-        if not labels:
-            return
-        env.setdefault(target, set()).update(labels)
-        if target.endswith("_"):
-            self._sink(f, labels, code[j].line,
-                       f"the simulator state member '{target}'")
-
-    def _call_shape(self, j):
-        """Classify the call headed at code[j]: (member, this_call,
-        qual) — member call on another object, explicit this-> call,
-        or Class:: qualifier."""
-        code = self.code
-        prv = _tok_at(code, j - 1)
-        member = prv == "." or (prv == ">" and
-                                _tok_at(code, j - 2) == "-")
-        this_call = (prv == ">" and _tok_at(code, j - 2) == "-" and
-                     _tok_at(code, j - 3) == "this")
-        qual = None
-        if (prv == ":" and _tok_at(code, j - 2) == ":" and
-                j >= 3 and code[j - 3].kind == "id" and
-                code[j - 3].spelling != "std"):
-            qual = code[j - 3].spelling
-        return member, this_call, qual
-
-    def _call_site(self, f, env, j, hi):
-        code = self.code
-        s = code[j].spelling
-        if s in _CONTROL or s in LOCK_CLASSES:
-            return
-        end = skip_balanced(code, j + 1, "(", ")")
+def _source_at(code, j, unordered):
+    """Why the expression headed at code[j] is nondeterministic, or
+    None."""
+    s = code[j].spelling
+    nxt = _tok_at(code, j + 1)
+    if s in unordered:
+        k = j + 2 if nxt == "." else None
+        if nxt == "-" and _tok_at(code, j + 2) == ">":
+            k = j + 3
+        if k is not None and _tok_at(code, k) in _ITER_METHODS:
+            return (f"iterating unordered container '{s}' "
+                    f"(.{_tok_at(code, k)}()): {_BUCKET_ORDER}")
+        return None
+    if s in _NONDET_CALLS and nxt == "(":
+        return f"{s}() is a thread id, which differs from run to run"
+    if s in ("hash", "reinterpret_cast") and nxt == "<":
+        end = _skip_angles(code, j + 1, len(code))
         if end is None:
-            return
-        args = (split_top_commas(code[j + 2:end - 1])
-                if end - 1 > j + 2 else [])
-        member, this_call, qual = self._call_shape(j)
-        if s in SCHEDULE_CALLS:
-            for a_i, a in enumerate(args):
-                self._sink(f, self._labels(f, env, a), code[j].line,
-                           f"argument {a_i + 1} of {s}() "
-                           f"(event scheduling)")
-            return
-        if member and not this_call and s in _OBS_RECORD_METHODS:
-            for a in args:
-                self._sink(f, self._labels(f, env, a), code[j].line,
-                           f"the obs-recorded value of .{s}()")
-            return
-        if member and not this_call and s in _GROW_METHODS:
-            # recv.push_back(tainted) taints recv; growing a member
-            # container is also a state write (the insertion ORDER is
-            # what replay depends on).
-            k = j - 2 if _tok_at(code, j - 1) == "." else j - 3
-            if k >= 0 and code[k].kind == "id":
-                recv = code[k].spelling
-                labels = set()
-                for a in args:
-                    labels |= self._labels(f, env, a)
-                if labels:
-                    env.setdefault(recv, set()).update(labels)
-                    if recv.endswith("_"):
-                        self._sink(f, labels, code[j].line,
-                                   f"the simulator state member "
-                                   f"'{recv}' (via .{s}())")
-            return
-        if member and not this_call:
-            return  # unresolvable: a method of some other object
-        for g in self.resolve(s, qual, f.owner):
-            for k_idx, what in sorted(g.t_param_sink.items()):
-                if k_idx >= len(args):
-                    continue
-                labels = self._labels(f, env, args[k_idx])
-                if "src" in labels:
-                    self.found[(code[j].line,
-                                f"nondeterministic value passed as "
-                                f"argument {k_idx + 1} of {g.name}(), "
-                                f"which forwards it into "
-                                f"{what}")] = None
-                for lbl in labels:
-                    if isinstance(lbl, int):
-                        f.t_param_sink.setdefault(
-                            lbl, f"{g.name}() -> {what}")
-
-    def _labels(self, f, env, toks, depth=0):
-        """Taint labels of an expression token list: union over every
-        tainted name it contains, every source pattern, and the mapped
-        return summaries of resolvable calls."""
-        out = set()
-        if depth > 6:
-            return out
-        n = len(toks)
-        j = 0
-        while j < n:
-            t = toks[j]
-            if t.kind == "id":
-                if _source_at(toks, j, n, self.unordered):
-                    out.add("src")
-                prv = _tok_at(toks, j - 1)
-                is_field = prv == "." or (prv == ">" and
-                                          _tok_at(toks, j - 2) == "-")
-                if t.spelling in env and not is_field:
-                    out |= env[t.spelling]
-                if _tok_at(toks, j + 1) == "(" and \
-                        t.spelling not in _CONTROL:
-                    member = is_field
-                    this_call = (prv == ">" and
-                                 _tok_at(toks, j - 2) == "-" and
-                                 _tok_at(toks, j - 3) == "this")
-                    qual = None
-                    if (prv == ":" and _tok_at(toks, j - 2) == ":" and
-                            j >= 3 and toks[j - 3].kind == "id" and
-                            toks[j - 3].spelling != "std"):
-                        qual = toks[j - 3].spelling
-                    if not member or this_call:
-                        end = skip_balanced(toks, j + 1, "(", ")")
-                        if end is not None:
-                            args = (split_top_commas(
-                                toks[j + 2:end - 1])
-                                if end - 1 > j + 2 else [])
-                            for g in self.resolve(t.spelling, qual,
-                                                  f.owner):
-                                for r in g.t_returns:
-                                    if r == "src":
-                                        out.add("src")
-                                    elif (isinstance(r, int) and
-                                          r < len(args)):
-                                        out |= self._labels(
-                                            f, env, args[r],
-                                            depth + 1)
-            j += 1
-        return out
+            return None
+        args = {t.spelling for t in code[j + 2:end - 1]}
+        if s == "hash" and "*" in args:
+            return ("std::hash of a pointer type hashes address bits, "
+                    "which differ from run to run")
+        if (s == "reinterpret_cast" and args & _INT_CAST_TARGETS and
+                not args & {"*", "&"}):
+            return ("reinterpret_cast to an integer type exposes address "
+                    "bits, which differ from run to run")
+    return None
 
 
-def check_detflow(path, code, funcs, waived, findings):
+def check_detflow(path, code, waived, findings):
     if not path_in(path, DETERMINISTIC_DIRS):
         return
+    unordered = collect_unordered_names(code)
+
+    def flag(tok, why):
+        if not is_waived(waived, RULES["R9"], tok.line):
+            findings.append(Finding(path, tok.line, "R9", why))
+
     for idx, tok in enumerate(code):
-        if tok.kind != "id" or tok.spelling not in UNORDERED_CONTAINERS:
+        if tok.kind != "id":
             continue
-        # `#include <unordered_map>` lexes as include '<' name '>'.
-        if (idx >= 2 and code[idx - 1].spelling == "<" and
-                code[idx - 2].spelling == "include"):
-            continue
-        if is_waived(waived, RULES["R9"], tok.line):
-            continue
-        findings.append(Finding(
-            path, tok.line, "R9",
-            f"std::{tok.spelling} in a deterministic directory: bucket "
-            f"iteration order depends on the hash function, insertion "
-            f"history, and stdlib version; use std::map/std::set, a "
-            f"sorted vector, or a dense index (waivable only for "
-            f"provably non-iterated lookup tables)"))
-    _TaintPass(path, code, funcs, collect_unordered_names(code),
-               waived).run(findings)
+        s = tok.spelling
+        if s in UNORDERED_CONTAINERS:
+            # `#include <unordered_map>` lexes as include '<' name '>'.
+            if (_tok_at(code, idx - 1) == "<" and
+                    _tok_at(code, idx - 2) == "include"):
+                continue
+            flag(tok, f"std::{s} in a deterministic directory: "
+                      f"{_BUCKET_ORDER}; use std::map/std::set, a sorted "
+                      f"vector, or a dense index (waivable only for "
+                      f"provably non-iterated lookup tables)")
+        elif s == "for" and _tok_at(code, idx + 1) == "(":
+            for t in _range_for_range(code, idx):
+                if t.kind == "id" and t.spelling in unordered:
+                    flag(t, f"range-for over unordered container "
+                            f"'{t.spelling}': {_BUCKET_ORDER}; simulated "
+                            f"outcomes must not depend on it")
+        else:
+            why = _source_at(code, idx, unordered)
+            if why:
+                flag(tok, f"{why}; simulated outcomes must not depend "
+                          f"on it")
 
 
 # --------------------------------------------------------------------
@@ -1511,169 +847,24 @@ def check_dcheck_pure(path, code, waived, findings):
 
 
 # --------------------------------------------------------------------
-# R12 ansmet-cbblock: blocking inside deferred callbacks
-# --------------------------------------------------------------------
-
-def _local_lock_trans(funcs):
-    """File-local transitive may-acquire sets, propagated with the same
-    call-resolution discipline as the global lock-order pass but
-    restricted to this file's definitions (cross-file blocking is
-    deliberately unresolved)."""
-    by_last = {}
-    for f in funcs:
-        by_last.setdefault(f.name.split("::")[-1], []).append(f)
-
-    def resolve(callee, qual, caller_owner):
-        out = []
-        for g in by_last.get(callee, ()):
-            if qual is not None:
-                if g.owner == qual:
-                    out.append(g)
-            elif g.owner is None or g.owner == caller_owner:
-                out.append(g)
-        return out
-
-    trans = {id(f): {a[0] for a in f.acquisitions} for f in funcs}
-    for _ in range(16):
-        changed = False
-        for f in funcs:
-            for callee, qual, _, _ in f.calls:
-                for g in resolve(callee, qual, f.owner):
-                    add = trans[id(g)] - trans[id(f)]
-                    if add:
-                        trans[id(f)] |= add
-                        changed = True
-        if not changed:
-            break
-    return trans, resolve
-
-
-def _scan_callback_body(path, code, lo, hi, what, owner, trans, resolve,
-                        waived, findings):
-    j = lo
-    while j < hi:
-        t = code[j]
-        s = t.spelling
-        if (t.kind == "id" and s in LOCK_CLASSES and j + 2 < hi and
-                code[j + 1].kind == "id" and
-                _tok_at(code, j + 2) in ("(", "{")):
-            if not is_waived(waived, RULES["R12"], t.line):
-                findings.append(Finding(
-                    path, t.line, "R12",
-                    f"{s} acquired inside a deferred {what} callback: "
-                    f"the simulation thread must never block in an "
-                    f"event; read through atomics or the seqlock "
-                    f"pattern instead"))
-            j += 3
-            continue
-        if (t.kind == "id" and s in _BLOCKING_WAITS and
-                _tok_at(code, j + 1) == "(" and
-                (_tok_at(code, j - 1) == "." or
-                 (_tok_at(code, j - 1) == ">" and
-                  _tok_at(code, j - 2) == "-"))):
-            if not is_waived(waived, RULES["R12"], t.line):
-                findings.append(Finding(
-                    path, t.line, "R12",
-                    f".{s}() parks the simulation thread inside a "
-                    f"deferred {what} callback; events must complete "
-                    f"without blocking"))
-            j += 1
-            continue
-        if (t.kind == "id" and s not in _CONTROL and
-                _tok_at(code, j + 1) == "("):
-            prv = _tok_at(code, j - 1)
-            member = prv == "." or (prv == ">" and
-                                    _tok_at(code, j - 2) == "-")
-            this_call = (member and prv == ">" and
-                         _tok_at(code, j - 3) == "this")
-            qual = None
-            if (prv == ":" and _tok_at(code, j - 2) == ":" and
-                    j >= 3 and code[j - 3].kind == "id" and
-                    code[j - 3].spelling != "std"):
-                qual = code[j - 3].spelling
-            if not member or this_call:
-                for g in resolve(s, qual, owner):
-                    locks = trans.get(id(g), set())
-                    if locks and not is_waived(waived, RULES["R12"],
-                                               t.line):
-                        findings.append(Finding(
-                            path, t.line, "R12",
-                            f"call to {g.name}() inside a deferred "
-                            f"{what} callback acquires "
-                            f"{sorted(locks)[0]} (file-local "
-                            f"analysis): events must complete without "
-                            f"blocking"))
-                        break
-        j += 1
-
-
-def check_cb_block(path, code, funcs, waived, findings):
-    if not path_in(path, SIM_HOT_DIRS):
-        return
-    trans, resolve = _local_lock_trans(funcs)
-
-    def owner_at(k):
-        for f in funcs:
-            lo, hi = f.body
-            if lo <= k < hi:
-                return f.owner
-        return None
-
-    for lo, hi, what in _callback_sink_ranges(code):
-        j = lo
-        while j < hi:
-            t = code[j]
-            if t.spelling != "[":
-                j += 1
-                continue
-            prev = code[j - 1] if j > 0 else None
-            if prev is not None and (prev.kind in ("id", "literal") or
-                                     prev.spelling in (")", "]")):
-                j += 1  # subscript, not a lambda introducer
-                continue
-            cap_end = skip_balanced(code, j, "[", "]")
-            if cap_end is None:
-                j += 1
-                continue
-            k = cap_end
-            if _tok_at(code, k) == "(":
-                k = skip_balanced(code, k, "(", ")") or hi
-            while k < hi and code[k].spelling not in ("{", ",", ";"):
-                k += 1  # mutable / noexcept / -> Ret before the body
-            if k >= hi or code[k].spelling != "{":
-                j = cap_end
-                continue
-            body_end = skip_balanced(code, k, "{", "}")
-            if body_end is None or body_end > hi + 1:
-                body_end = hi
-            _scan_callback_body(path, code, k + 1, body_end - 1, what,
-                                owner_at(j), trans, resolve, waived,
-                                findings)
-            j = body_end
-
-
-# --------------------------------------------------------------------
 # Per-file rule driver
 # --------------------------------------------------------------------
 
 def lint_file(path, repo_root, tokens):
-    """Run every per-file rule; returns (findings, FuncInfos, waived)
-    so the driver can finish with the cross-file lock-order pass."""
+    """Run every rule over one file's tokens; returns its findings."""
     rel = os.path.relpath(path, repo_root)
     findings = []
     waived = suppressed_lines(tokens)
     code = code_tokens(tokens)
-    funcs = parse_lock_functions(rel, tokens, code)
     check_determinism(rel, tokens, waived, findings)
     check_raw_new_delete(rel, tokens, waived, findings)
     check_nolint_justified(rel, tokens, findings)
     check_raw_sync(rel, tokens, waived, findings)
     check_event_capture(rel, tokens, waived, findings)
     check_dangle_capture(rel, tokens, waived, findings)
-    check_detflow(rel, code, funcs, waived, findings)
+    check_detflow(rel, code, waived, findings)
     check_dcheck_pure(rel, code, waived, findings)
-    check_cb_block(rel, code, funcs, waived, findings)
-    return findings, funcs, waived
+    return findings
 
 
 # --------------------------------------------------------------------
@@ -1748,7 +939,7 @@ def collect_files(repo_root, paths):
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="ANSMET determinism/style linter (rules R1-R5, "
-                    "R7-R10, R12)")
+                    "R8-R10)")
     ap.add_argument("paths", nargs="*",
                     help="files or directories (default: <repo>/src)")
     ap.add_argument("--repo", default=None,
@@ -1777,7 +968,6 @@ def main(argv=None):
         return 2
 
     findings = []
-    lock_facts = []
     for path in files:
         try:
             with open(path, encoding="utf-8", errors="replace") as f:
@@ -1786,12 +976,7 @@ def main(argv=None):
             print(f"ansmet_lint: cannot read {path}: {e}",
                   file=sys.stderr)
             return 2
-        file_findings, funcs, waived = lint_file(path, repo_root,
-                                                 lex_tokens(text))
-        findings.extend(file_findings)
-        lock_facts.append((os.path.relpath(path, repo_root), funcs,
-                           waived))
-    check_lock_order(lock_facts, findings)
+        findings.extend(lint_file(path, repo_root, lex_tokens(text)))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     out = open(args.output, "w", encoding="utf-8") \

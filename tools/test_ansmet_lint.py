@@ -2,8 +2,10 @@
 """Unit tests for tools/ansmet_lint.py (stdlib unittest only).
 
 Run directly:  python3 tools/test_ansmet_lint.py
-Each rule (R1-R5, R7-R10, R12) gets a triggering fixture and a passing
-fixture, plus a waiver fixture for the semantic rules, tests for the
+Each rule (R1-R5, R8-R10) gets a triggering fixture and a passing
+fixture, plus waiver fixtures; R4's lock confinement and each R9
+source (thread ids, pointer hashes and casts, unordered iteration)
+get a fixture asserting the flagged line. Further tests cover the
 NOLINT suppression mechanics, lexer regressions (spliced comments, raw
 strings, digit separators), the directory walk, --list-rules, SARIF
 output, and a clean run over the real tree.
@@ -258,6 +260,45 @@ class R4RawSyncTest(LintRunMixin, unittest.TestCase):
         code, _, _ = self.run_lint(p)
         self.assertEqual(code, 0)
 
+    def test_mutexlock_in_sim_callback_flags(self):
+        p = self.write(
+            "src/sim/pump.cc",
+            "void f(Q &q, Tick t) {\n"
+            "    q.schedule(t, [this] {\n"
+            "        MutexLock lk(mu_);\n"
+            "        drain();\n"
+            "    });\n"
+            "}\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("pump.cc:3: [R4/ansmet-rawsync] MutexLock", out)
+        self.assertIn("src/common/runtime and src/obs", out)
+
+    def test_mutex_in_anns_flags(self):
+        p = self.write("src/anns/index.h",
+                       "#include \"common/sync.h\"\n"
+                       "struct Index { Mutex mu_; };\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("index.h:2: [R4/ansmet-rawsync] Mutex", out)
+
+    def test_wrappers_in_obs_and_runtime_pass(self):
+        obs = self.write(
+            "src/obs/sink.cc",
+            "struct Sink {\n"
+            "    Mutex mu_;\n"
+            "    void put() { MutexLock lk(mu_); }\n"
+            "};\n")
+        rt = self.write(
+            "src/common/runtime/pool.h",
+            "struct Pool {\n"
+            "    Mutex mu_;\n"
+            "    CondVar cv_;\n"
+            "    void wait() { MutexLock lk(mu_); cv_.wait(mu_); }\n"
+            "};\n")
+        code, out, _ = self.run_lint(obs, rt)
+        self.assertEqual(code, 0, out)
+
 
 class R5EventCaptureTest(LintRunMixin, unittest.TestCase):
     def test_std_function_in_schedule_arg_flags(self):
@@ -315,129 +356,6 @@ class R5EventCaptureTest(LintRunMixin, unittest.TestCase):
             "}\n")
         code, _, _ = self.run_lint(p)
         self.assertEqual(code, 0)
-
-
-class R7LockOrderTest(LintRunMixin, unittest.TestCase):
-    def test_two_mutex_cycle_reports_full_path(self):
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct S {\n"
-            "    Mutex a_;\n"
-            "    Mutex b_;\n"
-            "    void f() {\n"
-            "        MutexLock la(a_);\n"
-            "        MutexLock lb(b_);\n"
-            "    }\n"
-            "    void g() {\n"
-            "        MutexLock lb(b_);\n"
-            "        MutexLock la(a_);\n"
-            "    }\n"
-            "};\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-lockorder", out)
-        self.assertIn("latent deadlock", out)
-        # The full normalized cycle path, then every hop's witness.
-        self.assertIn("S::a_ -> S::b_ -> S::a_", out)
-        self.assertIn("S::f acquires S::b_", out)
-        self.assertIn("S::g acquires S::a_", out)
-        self.assertIn("locks.cc:6", out)
-        self.assertIn("locks.cc:10", out)
-
-    def test_consistent_order_passes(self):
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct S {\n"
-            "    void f() { MutexLock la(a_); MutexLock lb(b_); }\n"
-            "    void g() { MutexLock la(a_); MutexLock lb(b_); }\n"
-            "};\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_sequential_scopes_pass(self):
-        # Opposite textual order, but never held simultaneously.
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct S {\n"
-            "    void f() { { MutexLock la(a_); } { MutexLock lb(b_); } }\n"
-            "    void g() { { MutexLock lb(b_); } { MutexLock la(a_); } }\n"
-            "};\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_cycle_through_call_propagation_flags(self):
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct S {\n"
-            "    void low() { MutexLock lb(b_); }\n"
-            "    void f() {\n"
-            "        MutexLock la(a_);\n"
-            "        low();\n"
-            "    }\n"
-            "    void g() { MutexLock lb(b_); MutexLock la(a_); }\n"
-            "};\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("S::f calls S::low which acquires S::b_", out)
-
-    def test_requires_macro_counts_as_held(self):
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct S {\n"
-            "    void f() ANSMET_REQUIRES(a_) { MutexLock lb(b_); }\n"
-            "    void g() { MutexLock lb(b_); MutexLock la(a_); }\n"
-            "};\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-lockorder", out)
-        self.assertIn("S::a_ -> S::b_", out)
-
-    def test_member_call_on_other_object_does_not_propagate(self):
-        # `w.load()` must not resolve to the unrelated Other::load() —
-        # resolution is same-class or free functions only.
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct Other {\n"
-            "    void load() { MutexLock lb(b_); }\n"
-            "};\n"
-            "struct S {\n"
-            "    void f(Widget &w) { MutexLock la(a_); w.load(); }\n"
-            "    void g() {\n"
-            "        MutexLock lb(Other::b_);\n"
-            "        MutexLock la(S::a_);\n"
-            "    }\n"
-            "};\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_waiver_on_acquisition_breaks_the_edge(self):
-        p = self.write(
-            "src/anns/locks.cc",
-            "struct S {\n"
-            "    void f() {\n"
-            "        MutexLock la(a_);\n"
-            "        // NOLINTNEXTLINE(ansmet-lockorder): init path, "
-            "single-threaded.\n"
-            "        MutexLock lb(b_);\n"
-            "    }\n"
-            "    void g() { MutexLock lb(b_); MutexLock la(a_); }\n"
-            "};\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_cycle_across_two_files_flags(self):
-        # Each file alone is acyclic; the cycle only exists once the
-        # lock facts of both files meet in one graph.
-        a = self.write(
-            "src/sim/a.cc",
-            "void fa() { MutexLock a(mu_a_); takeB(); }\n")
-        b = self.write(
-            "src/sim/b.cc",
-            "void takeB() { MutexLock b(mu_b_); takeA(); }\n"
-            "void takeA() { MutexLock a(mu_a_); }\n")
-        code, out, _ = self.run_lint(a, b)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-lockorder", out)
 
 
 class R8DangleCaptureTest(LintRunMixin, unittest.TestCase):
@@ -541,9 +459,9 @@ class R9DetflowTest(LintRunMixin, unittest.TestCase):
         code, _, _ = self.run_lint(p)
         self.assertEqual(code, 0)
 
-    def test_cross_function_taint_chain_flags(self):
-        # source (pointer bits) -> return -> argument -> sink inside
-        # the callee: the chain spans three functions in one file.
+    def test_cross_function_chain_flags_at_the_cast(self):
+        # The pointer bits feed a three-function chain into a schedule
+        # call; the finding lands on the cast, where they first appear.
         p = self.write(
             "src/anns/sched.cc",
             "struct Sched {\n"
@@ -558,12 +476,11 @@ class R9DetflowTest(LintRunMixin, unittest.TestCase):
             "};\n")
         code, out, _ = self.run_lint(p)
         self.assertEqual(code, 1)
-        self.assertIn("ansmet-detflow", out)
-        self.assertIn("argument 1 of Sched::submit()", out)
-        self.assertIn("event scheduling", out)
-        self.assertIn("sched.cc:8:", out)
+        self.assertIn("sched.cc:3: [R9/ansmet-detflow] reinterpret_cast",
+                      out)
+        self.assertEqual(out.count("ansmet-detflow"), 1)
 
-    def test_range_for_over_unordered_taints_state_write(self):
+    def test_range_for_over_waived_unordered_member_flags(self):
         p = self.write(
             "src/anns/walk.cc",
             "struct G {\n"
@@ -577,10 +494,26 @@ class R9DetflowTest(LintRunMixin, unittest.TestCase):
             "};\n")
         code, out, _ = self.run_lint(p)
         self.assertEqual(code, 1)
-        self.assertIn("'order_'", out)
-        self.assertIn("walk.cc:7:", out)
+        # The declaration waiver does not cover iterating it.
+        self.assertIn("walk.cc:6: [R9/ansmet-detflow] range-for over "
+                      "unordered container 'links_'", out)
+        self.assertEqual(out.count("ansmet-detflow"), 1)
 
-    def test_thread_id_into_obs_record_flags(self):
+    def test_begin_on_waived_unordered_member_flags(self):
+        p = self.write(
+            "src/et/lut.cc",
+            "struct T {\n"
+            "    // NOLINTNEXTLINE(ansmet-detflow): lookup-only table, "
+            "never iterated.\n"
+            "    std::unordered_map<int, int> lut_;\n"
+            "    int first() const { return lut_.begin()->first; }\n"
+            "};\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("lut.cc:4: [R9/ansmet-detflow] iterating unordered "
+                      "container 'lut_' (.begin())", out)
+
+    def test_get_id_flags(self):
         p = self.write(
             "src/sim/stats.cc",
             "void f(Histo &h) {\n"
@@ -589,7 +522,51 @@ class R9DetflowTest(LintRunMixin, unittest.TestCase):
             "}\n")
         code, out, _ = self.run_lint(p)
         self.assertEqual(code, 1)
-        self.assertIn("obs-recorded value", out)
+        self.assertIn("stats.cc:2: [R9/ansmet-detflow] get_id()", out)
+        self.assertEqual(out.count("ansmet-detflow"), 1)
+
+    def test_pthread_self_flags(self):
+        p = self.write(
+            "src/dram/owner.cc",
+            "#include <pthread.h>\n"
+            "unsigned long owner() { return pthread_self(); }\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("owner.cc:2: [R9/ansmet-detflow] pthread_self()",
+                      out)
+
+    def test_hash_of_pointer_flags(self):
+        p = self.write(
+            "src/ndp/route.cc",
+            "#include <functional>\n"
+            "unsigned slot(const Task *t, unsigned n) {\n"
+            "    return std::hash<const Task *>{}(t) % n;\n"
+            "}\n"
+            "unsigned slot(int id, unsigned n) {\n"
+            "    return std::hash<int>{}(id) % n;\n"
+            "}\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("route.cc:3: [R9/ansmet-detflow] std::hash of a "
+                      "pointer type", out)
+        self.assertNotIn("route.cc:6:", out)
+
+    def test_pointer_to_uintptr_cast_flags(self):
+        p = self.write(
+            "src/serve/key.cc",
+            "#include <cstdint>\n"
+            "std::uintptr_t key(const void *p) {\n"
+            "    return reinterpret_cast<std::uintptr_t>(p);\n"
+            "}\n"
+            "const char *bytes(const float *p) {\n"
+            "    return reinterpret_cast<const char *>(p);\n"
+            "}\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("key.cc:3: [R9/ansmet-detflow] reinterpret_cast",
+                      out)
+        # A pointer-to-pointer cast exposes no address bits.
+        self.assertNotIn("key.cc:6:", out)
 
     def test_lookup_only_use_does_not_taint(self):
         # find()/count() lookups are value-keyed, not order-dependent;
@@ -688,92 +665,6 @@ class R10CheckPureTest(LintRunMixin, unittest.TestCase):
         self.assertEqual(code, 0)
 
 
-class R12CbBlockTest(LintRunMixin, unittest.TestCase):
-    def test_mutexlock_in_schedule_callback_flags(self):
-        p = self.write(
-            "src/sim/pump.cc",
-            "void f(Q &q, Tick t) {\n"
-            "    q.schedule(t, [this] {\n"
-            "        MutexLock lk(mu_);\n"
-            "        drain();\n"
-            "    });\n"
-            "}\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-cbblock", out)
-        self.assertIn("MutexLock", out)
-        self.assertIn("pump.cc:3:", out)
-
-    def test_wait_in_oncomplete_flags(self):
-        p = self.write(
-            "src/ndp/task.cc",
-            "void f(NdpTask &t) {\n"
-            "    t.onComplete = [this] { grp_.wait(); };\n"
-            "}\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn(".wait()", out)
-        self.assertIn("onComplete", out)
-
-    def test_transitive_local_call_flags(self):
-        p = self.write(
-            "src/dram/ctrl.cc",
-            "struct Ctrl {\n"
-            "    void lockedTouch() { MutexLock lk(mu_); ++gen_; }\n"
-            "    void arm(Tick t) {\n"
-            "        eq_.schedule(t, [this] { lockedTouch(); });\n"
-            "    }\n"
-            "};\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("Ctrl::lockedTouch()", out)
-        self.assertIn("file-local", out)
-
-    def test_lock_outside_callback_passes(self):
-        p = self.write(
-            "src/sim/pump.cc",
-            "void f(Q &q, Tick t) {\n"
-            "    { MutexLock lk(mu_); prime(); }\n"
-            "    q.schedule(t, [this] { drainAtomics(); });\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_atomic_reads_in_callback_pass(self):
-        p = self.write(
-            "src/sim/pump.cc",
-            "void f(Q &q, Tick t) {\n"
-            "    q.schedule(t, [this] {\n"
-            "        auto v = gen_.load(std::memory_order_acquire);\n"
-            "        use(v);\n"
-            "    });\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_non_hot_dir_is_exempt(self):
-        p = self.write(
-            "src/serve/eng.cc",
-            "void f(Q &q, Tick t) {\n"
-            "    q.schedule(t, [this] { MutexLock lk(mu_); });\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_waiver_with_justification_passes(self):
-        p = self.write(
-            "src/sim/pump.cc",
-            "void f(Q &q, Tick t) {\n"
-            "    q.schedule(t, [this] {\n"
-            "        // NOLINTNEXTLINE(ansmet-cbblock): uncontended "
-            "shutdown-only path.\n"
-            "        MutexLock lk(mu_);\n"
-            "    });\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-
 class LexerRegressionTest(LintRunMixin, unittest.TestCase):
     def test_line_spliced_comment_stays_a_comment(self):
         # A backslash-newline extends a // comment onto the next line;
@@ -842,13 +733,11 @@ class CommandLineTest(LintRunMixin, unittest.TestCase):
         with contextlib.redirect_stdout(out):
             code = ansmet_lint.main(["--list-rules"])
         self.assertEqual(code, 0)
-        for name in ("ansmet-determinism", "ansmet-rawnew",
-                     "ansmet-nolint", "ansmet-rawsync",
-                     "ansmet-eventcapture", "ansmet-lockorder",
-                     "ansmet-danglecapture",
-                     "ansmet-detflow", "ansmet-checkpure",
-                     "ansmet-cbblock"):
-            self.assertIn(name, out.getvalue())
+        self.assertEqual(out.getvalue().splitlines(), [
+            "R1  ansmet-determinism", "R2  ansmet-rawnew",
+            "R3  ansmet-nolint", "R4  ansmet-rawsync",
+            "R5  ansmet-eventcapture", "R8  ansmet-danglecapture",
+            "R9  ansmet-detflow", "R10  ansmet-checkpure"])
 
 
 class SarifOutputTest(LintRunMixin, unittest.TestCase):
@@ -864,7 +753,7 @@ class SarifOutputTest(LintRunMixin, unittest.TestCase):
         run = doc["runs"][0]
         self.assertEqual(run["tool"]["driver"]["name"], "ansmet_lint")
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        self.assertEqual(len(rule_ids), 10)
+        self.assertEqual(len(rule_ids), 8)
         self.assertIn("R1/ansmet-determinism", rule_ids)
         res = run["results"][0]
         self.assertEqual(res["ruleId"], "R1/ansmet-determinism")
