@@ -236,20 +236,21 @@ class SystemModel::QueryContext
         // units_in_step_ records first-touch order, which replaces the
         // old per-step unordered_map (and its per-step allocations)
         // while staying deterministic.
+        const layout::Partitioner &part = *sys_.part_;
         for (const CompareTask &t : s.tasks) {
             const unsigned group = chooseGroup(t.vec);
-            const auto &places = sys_.placeOf(t.vec, group);
-            for (const auto &sp : places) {
+            for (unsigned i = 0; i < part.subsPerVector(); ++i) {
+                const layout::SubVector sv = part.sub(t.vec, group, i);
                 const et::FetchResult fr =
-                    nextFetch(t, sp.dimBegin, sp.dimEnd);
+                    nextFetch(t, sv.dimBegin, sv.dimEnd);
                 accountFetch(t, fr.totalLines(), fr.terminatedEarly,
                              fr.backupLines);
-                sys_.loads_->add(sp.rank, fr.totalLines());
+                sys_.loads_->add(sv.rank, fr.totalLines());
 
                 ndp::NdpTask task;
-                task.startLine = sp.baseLine;
+                task.startLine = part.baseLine(t.vec, group, i);
                 task.lines = std::max(1u, fr.totalLines());
-                const unsigned unit = sp.rank;
+                const unsigned unit = sv.rank;
                 task.onComplete = [this, unit](Tick when) {
                     ndpTaskDone(unit, when);
                 };
@@ -631,7 +632,12 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
                 eq_, cfg.ndpParams, cfg.timing, cfg.org, u));
         }
         loads_ = std::make_unique<layout::LoadTracker>(cfg.ndpUnits);
-        allocatePlacement(cfg.replicateHot ? hot : std::vector<VectorId>{});
+        if (cfg.replicateHot)
+            part_->replicate(hot);
+        std::vector<unsigned> sub_lines;
+        for (const unsigned dims : sub_dims)
+            sub_lines.push_back(fetchsim_->subPlan(dims).totalLines());
+        part_->allocateBaseLines(sub_lines);
 
         // Adaptive polling prediction: with a fetch window of depth d,
         // the steady-state cost per line is roughly one DRAM round
@@ -663,58 +669,6 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
 }
 
 SystemModel::~SystemModel() = default;
-
-void
-SystemModel::allocatePlacement(const std::vector<VectorId> &hot)
-{
-    rank_alloc_.assign(cfg_.ndpUnits, 0);
-    part_->replicate(hot);
-
-    home_place_.resize(vs_.size());
-    for (std::size_t v = 0; v < vs_.size(); ++v) {
-        const auto id = static_cast<VectorId>(v);
-        const unsigned home = part_->groupOf(id);
-        const auto subs = part_->placement(id, home);
-        auto &out = home_place_[v];
-        for (const auto &s : subs) {
-            const unsigned lines =
-                fetchsim_->subPlan(s.dimEnd - s.dimBegin).totalLines();
-            out.push_back(
-                SubPlace{s.rank, s.dimBegin, s.dimEnd, rank_alloc_[s.rank]});
-            rank_alloc_[s.rank] += lines;
-        }
-        if (part_->isReplicated(id)) {
-            for (unsigned g = 0; g < part_->numGroups(); ++g) {
-                if (g == home)
-                    continue;
-                const auto rsubs = part_->placement(id, g);
-                std::vector<SubPlace> rout;
-                for (const auto &s : rsubs) {
-                    const unsigned lines =
-                        fetchsim_->subPlan(s.dimEnd - s.dimBegin)
-                            .totalLines();
-                    rout.push_back(SubPlace{s.rank, s.dimBegin, s.dimEnd,
-                                            rank_alloc_[s.rank]});
-                    rank_alloc_[s.rank] += lines;
-                }
-                replica_place_[(static_cast<std::uint64_t>(id) << 8) | g] =
-                    std::move(rout);
-            }
-        }
-    }
-}
-
-const std::vector<SystemModel::SubPlace> &
-SystemModel::placeOf(VectorId v, unsigned group) const
-{
-    if (!part_ || group == part_->groupOf(v))
-        return home_place_[v];
-    const auto it =
-        replica_place_.find((static_cast<std::uint64_t>(v) << 8) | group);
-    ANSMET_CHECK(it != replica_place_.end(),
-                 "no replica of vector in requested group");
-    return it->second;
-}
 
 void
 SystemModel::precomputeFetch(const std::vector<QueryTrace> &traces)

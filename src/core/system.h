@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/design.h"
@@ -231,14 +230,6 @@ class SystemModel
     const layout::Partitioner *partitioner() const { return part_.get(); }
 
   private:
-    struct SubPlace
-    {
-        unsigned rank;
-        unsigned dimBegin;
-        unsigned dimEnd;
-        std::uint64_t baseLine;
-    };
-
     /** Precomputed outcome of one FetchSimulator call during replay. */
     struct PreFetch
     {
@@ -249,8 +240,6 @@ class SystemModel
 
     class QueryContext;
     friend class QueryContext;
-
-    void allocatePlacement(const std::vector<VectorId> &hot);
 
     /** Batch dispatcher: feed @p slot the next undispatched trace. */
     void dispatchNext(unsigned slot);
@@ -266,7 +255,6 @@ class SystemModel
      * reference path computes on the fly).
      */
     void precomputeFetch(const std::vector<QueryTrace> &traces);
-    const std::vector<SubPlace> &placeOf(VectorId v, unsigned group) const;
 
     /** Channel that carries NDP unit @p u's instructions. */
     unsigned
@@ -288,11 +276,6 @@ class SystemModel
     std::unique_ptr<layout::Partitioner> part_;
     std::unique_ptr<layout::LoadTracker> loads_;
     std::unique_ptr<ndp::PollingEstimator> pollEst_;
-
-    // (vector, group) -> placement with allocated base lines.
-    std::vector<std::vector<SubPlace>> home_place_;
-    std::unordered_map<std::uint64_t, std::vector<SubPlace>> replica_place_;
-    std::vector<std::uint64_t> rank_alloc_;
 
     // Session state.
     // prefetch_[q] = PreFetch per simulator call of trace q, in

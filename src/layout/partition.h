@@ -10,13 +10,17 @@
  * groups of ceil(vectorBytes / S) ranks. Vectors hash across groups;
  * hot vectors (HNSW top layers, IVF centroids) can be replicated to
  * every group to fight load imbalance.
+ *
+ * Each copy's rank-local base line lives in one dense table, filled
+ * once after replicate(): the replay looks a copy up by index, with
+ * no per-copy allocation and no hashing.
  */
 
 #ifndef ANSMET_LAYOUT_PARTITION_H
 #define ANSMET_LAYOUT_PARTITION_H
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -86,10 +90,27 @@ class Partitioner
             num_groups_);
     }
 
+    /** Sub-vectors per vector (at most ranksPerGroup()). */
+    unsigned subsPerVector() const { return subs_per_vector_; }
+
     /**
-     * Placement of @p v within group @p group (its home group unless
-     * the vector is replicated and the caller picked another group).
+     * Rank and dimension range of sub-vector @p i of @p v within group
+     * @p group (its home group unless the vector is replicated and the
+     * caller picked another group).
      */
+    SubVector
+    sub(VectorId v, unsigned group, unsigned i) const
+    {
+        ANSMET_DCHECK(group < num_groups_ && i < subs_per_vector_);
+        const unsigned begin = i * dims_per_sub_;
+        // Rotate the starting rank by vector id so single sub-vector
+        // vectors spread across the ranks of the group.
+        return {group * ranks_per_group_ +
+                    (i + static_cast<unsigned>(v)) % ranks_per_group_,
+                begin, std::min(begin + dims_per_sub_, dims_)};
+    }
+
+    /** All sub-vectors of @p v within group @p group, in order. */
     std::vector<SubVector> placement(VectorId v, unsigned group) const;
 
     std::vector<SubVector>
@@ -99,32 +120,61 @@ class Partitioner
     }
 
     /** Mark @p hot vectors as replicated to every group. */
-    void
-    replicate(const std::vector<VectorId> &hot)
-    {
-        replicated_.insert(hot.begin(), hot.end());
-    }
+    void replicate(const std::vector<VectorId> &hot);
 
     bool
     isReplicated(VectorId v) const
     {
-        return replicated_.count(v) != 0;
+        ANSMET_DCHECK(v < num_vectors_);
+        return replicated_[v];
     }
 
-    std::size_t numReplicated() const { return replicated_.size(); }
+    std::size_t numReplicated() const { return num_replicated_; }
 
     /** Replicated bytes across all extra copies. */
     std::uint64_t
     replicationBytes() const
     {
-        return static_cast<std::uint64_t>(replicated_.size()) *
+        return static_cast<std::uint64_t>(num_replicated_) *
                (num_groups_ - 1) * dims_ * bytes_per_dim_;
+    }
+
+    /**
+     * Allocate every copy's rank-local lines; call once, after
+     * replicate(). Sub-vector i of a copy takes @p sub_lines[i] lines
+     * of its rank, and each rank stacks its sub-vectors in vector id
+     * order.
+     */
+    void allocateBaseLines(const std::vector<unsigned> &sub_lines);
+
+    /** First rank-local line of sub-vector @p i of @p v's copy in
+     *  @p group; fatal if @p v has no copy there. */
+    std::uint32_t
+    baseLine(VectorId v, unsigned group, unsigned i) const
+    {
+        ANSMET_DCHECK(v < num_vectors_ && group < num_groups_ &&
+                      i < subs_per_vector_);
+        const std::uint32_t line = base_lines_[copyIndex(v, group) + i];
+        ANSMET_CHECK(line != kNoCopy,
+                     "no replica of vector in requested group");
+        return line;
     }
 
     unsigned dims() const { return dims_; }
     unsigned numRanks() const { return cfg_.numRanks; }
 
   private:
+    /** baseLine() entry of a copy that does not exist. */
+    static constexpr std::uint32_t kNoCopy = ~std::uint32_t{0};
+
+    /** base_lines_ index of sub-vector 0 of @p v's copy in @p group. */
+    std::size_t
+    copyIndex(VectorId v, unsigned group) const
+    {
+        return (static_cast<std::size_t>(v) * num_groups_ + group) *
+               subs_per_vector_;
+    }
+
     PartitionConfig cfg_;
     unsigned dims_;
     unsigned bytes_per_dim_;
@@ -132,7 +182,10 @@ class Partitioner
     unsigned dims_per_sub_;
     unsigned ranks_per_group_;
     unsigned num_groups_;
-    std::unordered_set<VectorId> replicated_;
+    unsigned subs_per_vector_;
+    std::vector<bool> replicated_; //!< per vector id
+    std::size_t num_replicated_ = 0;
+    std::vector<std::uint32_t> base_lines_; //!< [copyIndex() + i]
 };
 
 /** Load-imbalance accounting: max-over-ranks vs average. */

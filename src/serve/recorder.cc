@@ -10,14 +10,27 @@ namespace ansmet::serve {
 
 namespace {
 
-/** Nearest-rank q-quantile (0 < q <= 1) of non-empty @p sorted. */
-std::uint64_t
-nearestRank(const std::vector<std::uint64_t> &sorted, double q)
+/** 1-based nearest rank of the q-quantile (0 < q <= 1) of @p n
+ *  samples. */
+std::size_t
+nearestRank(std::size_t n, double q)
 {
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    rank = rank < 1 ? 1 : std::min(rank, sorted.size());
-    return sorted[rank - 1];
+    const auto rank =
+        static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+    return rank < 1 ? 1 : std::min(rank, n);
+}
+
+/** The q-quantile of @p sorted, if kMinBeyondRank samples lie beyond
+ *  its rank. */
+Quantile
+tailQuantile(const std::vector<std::uint64_t> &sorted, double q)
+{
+    Quantile out;
+    out.n = sorted.size();
+    const std::size_t rank = nearestRank(out.n, q);
+    if (out.n >= rank + kMinBeyondRank)
+        out.ps = sorted[rank - 1];
+    return out;
 }
 
 } // namespace
@@ -76,7 +89,7 @@ LatencyRecorder::exactQuantile(Phase phase, double q) const
         return 0;
     std::vector<std::uint64_t> sorted(s);
     std::sort(sorted.begin(), sorted.end());
-    return nearestRank(sorted, q);
+    return sorted[nearestRank(sorted.size(), q) - 1];
 }
 
 PhaseSummary
@@ -85,13 +98,13 @@ LatencyRecorder::summary(Phase phase) const
     const auto &s = samples_[static_cast<unsigned>(phase)];
     PhaseSummary out;
     out.count = s.size();
-    if (s.empty())
-        return out;
     std::vector<std::uint64_t> sorted(s);
     std::sort(sorted.begin(), sorted.end());
-    out.p50 = nearestRank(sorted, 0.50);
-    out.p99 = nearestRank(sorted, 0.99);
-    out.p999 = nearestRank(sorted, 0.999);
+    out.p50 = tailQuantile(sorted, 0.50);
+    out.p99 = tailQuantile(sorted, 0.99);
+    out.p999 = tailQuantile(sorted, 0.999);
+    if (sorted.empty())
+        return out;
     out.max = sorted.back();
     double sum = 0.0;
     for (std::uint64_t v : sorted)

@@ -7,8 +7,9 @@
  * twice on purpose:
  *
  *  - raw samples kept in-recorder for *exact* nearest-rank quantiles —
- *    the p50/p99/p999 the bench reports and CI gates on must not carry
- *    bucketing error;
+ *    the p50/p99/p999/max the bench reports and CI gates on must not
+ *    carry bucketing error, and a quantile too few samples support is
+ *    reported as unavailable rather than as the maximum in disguise;
  *  - a log2 histogram per phase in the obs metrics registry
  *    ("serve.<phase>_ps"), so serving latency shows up in metric
  *    snapshots and trace-file dumps like every other subsystem, at the
@@ -23,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -45,13 +47,28 @@ constexpr unsigned kNumPhases = 6;
 
 const char *phaseName(Phase p);
 
+/**
+ * Samples a quantile needs beyond its nearest rank before summary()
+ * reports it (perfbench/quantiles.py applies the same rule): a p50
+ * needs 20 samples, a p99 1000 and a p999 10,000. With fewer, the
+ * quantile is one of the few largest samples, not a tail estimate.
+ */
+constexpr std::size_t kMinBeyondRank = 10;
+
+/** One nearest-rank quantile and the sample count behind it. */
+struct Quantile
+{
+    std::optional<std::uint64_t> ps; //!< empty when n cannot support it
+    std::size_t n = 0;
+};
+
 /** Order statistics of one phase's samples, in picoseconds. */
 struct PhaseSummary
 {
     std::size_t count = 0;
-    std::uint64_t p50 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t p999 = 0;
+    Quantile p50;
+    Quantile p99;
+    Quantile p999;
     std::uint64_t max = 0;
     double mean = 0.0;
 };
@@ -73,7 +90,8 @@ class LatencyRecorder
      */
     std::uint64_t exactQuantile(Phase phase, double q) const;
 
-    /** p50/p99/p999/max/mean of @p phase. */
+    /** p50/p99/p999 (each only if kMinBeyondRank samples lie beyond
+     *  its rank), max and mean of @p phase. */
     PhaseSummary summary(Phase phase) const;
 
     /** The raw samples of @p phase in recording (completion) order. */

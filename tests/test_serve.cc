@@ -246,11 +246,44 @@ TEST(LatencyRecorder, ExactQuantilesOnKnownDistribution)
     EXPECT_EQ(rec.exactQuantile(serve::Phase::kTotal, 1.0), 1000u);
 
     const auto s = rec.summary(serve::Phase::kTotal);
-    EXPECT_EQ(s.p50, 500u);
-    EXPECT_EQ(s.p99, 990u);
-    EXPECT_EQ(s.p999, 999u);
+    EXPECT_EQ(s.p50.ps, 500u);
+    EXPECT_EQ(s.p99.ps, 990u);
+    EXPECT_EQ(s.p99.n, 1000u);
+    // Only one sample lies beyond rank 999, so the p999 is refused.
+    EXPECT_FALSE(s.p999.ps.has_value());
+    EXPECT_EQ(s.p999.n, 1000u);
     EXPECT_EQ(s.max, 1000u);
     EXPECT_DOUBLE_EQ(s.mean, 500.5);
+}
+
+TEST(LatencyRecorder, QuantileNeedsTenSamplesBeyondItsRank)
+{
+    const auto summarize = [](std::uint64_t n) {
+        serve::LatencyRecorder rec;
+        for (std::uint64_t v = 1; v <= n; ++v)
+            rec.record(serve::Phase::kTotal, v);
+        return rec.summary(serve::Phase::kTotal);
+    };
+
+    // 96 samples, one quick-scale load point: the nearest-rank p99 is
+    // the maximum, so only the max and the p50 are reported.
+    const auto quick = summarize(96);
+    EXPECT_EQ(quick.max, 96u);
+    EXPECT_EQ(quick.p50.ps, 48u);
+    EXPECT_FALSE(quick.p99.ps.has_value());
+    EXPECT_EQ(quick.p99.n, 96u);
+    EXPECT_FALSE(quick.p999.ps.has_value());
+
+    const auto thousand = summarize(1000);
+    EXPECT_EQ(thousand.max, 1000u);
+    EXPECT_EQ(thousand.p99.ps, 990u);
+
+    // Thresholds: p50 needs 20 samples, p99 1000, p999 10,000.
+    EXPECT_FALSE(summarize(19).p50.ps.has_value());
+    EXPECT_EQ(summarize(20).p50.ps, 10u);
+    EXPECT_FALSE(summarize(999).p99.ps.has_value());
+    EXPECT_FALSE(summarize(9999).p999.ps.has_value());
+    EXPECT_EQ(summarize(10000).p999.ps, 9990u);
 }
 
 TEST(LatencyRecorder, QuantileEdgeCases)
@@ -261,6 +294,7 @@ TEST(LatencyRecorder, QuantileEdgeCases)
     EXPECT_EQ(rec.exactQuantile(serve::Phase::kCompute, 0.001), 42u);
     EXPECT_EQ(rec.exactQuantile(serve::Phase::kCompute, 1.0), 42u);
     EXPECT_EQ(rec.summary(serve::Phase::kQueueWait).count, 0u);
+    EXPECT_FALSE(rec.summary(serve::Phase::kQueueWait).p50.ps.has_value());
 }
 
 // ------------------------------------------------------------------
@@ -386,10 +420,12 @@ TEST(Serve, ReportsAllPhasesWithOrderedTails)
         const auto ph = static_cast<serve::Phase>(p);
         EXPECT_EQ(r.latency.count(ph), r.completed)
             << serve::phaseName(ph);
+        // Fewer than 1000 samples support a p50 but no p99 or p999.
         const auto s = r.latency.summary(ph);
-        EXPECT_LE(s.p50, s.p99) << serve::phaseName(ph);
-        EXPECT_LE(s.p99, s.p999) << serve::phaseName(ph);
-        EXPECT_LE(s.p999, s.max) << serve::phaseName(ph);
+        ASSERT_TRUE(s.p50.ps.has_value()) << serve::phaseName(ph);
+        EXPECT_LE(*s.p50.ps, s.max) << serve::phaseName(ph);
+        EXPECT_FALSE(s.p99.ps.has_value()) << serve::phaseName(ph);
+        EXPECT_FALSE(s.p999.ps.has_value()) << serve::phaseName(ph);
     }
     // Total covers queue wait plus every service phase.
     const auto total = r.latency.summary(serve::Phase::kTotal);

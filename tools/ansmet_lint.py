@@ -8,7 +8,8 @@ neither the compiler nor clang-tidy checks:
 
   R1  ansmet-determinism   No nondeterminism source in the simulator-
                            deterministic directories (src/sim, src/ndp,
-                           src/dram, src/et, src/anns): std::rand and
+                           src/dram, src/et, src/anns, src/serve,
+                           src/core, src/layout): std::rand and
                            friends, wall-clock time, and std random
                            engines are banned; common::Prng is the only
                            sanctioned randomness.
@@ -98,7 +99,7 @@ import sys
 # --------------------------------------------------------------------
 
 DETERMINISTIC_DIRS = ("src/sim", "src/ndp", "src/dram", "src/et",
-                      "src/anns", "src/serve")
+                      "src/anns", "src/serve", "src/core", "src/layout")
 
 # Identifier tokens banned by R1 inside the deterministic directories.
 BANNED_RANDOM = {

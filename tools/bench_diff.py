@@ -37,13 +37,16 @@ Four modes, stdlib only:
   Tail mode -- gate serving tail latency from a macro_serve sweep:
 
       tools/bench_diff.py --tail BENCH_serve.json \
-          [--gate 'total.p99<=60us']... [--sweep-index N]
+          [--gate 'total.max<=60us']... [--sweep-index N]
 
     Reads the 'ansmet-serve-v1' JSON emitted by bench/macro_serve
     --out. Each --gate is PHASE.QUANTILE<=BOUND where PHASE is one of
     the serving phases (queue_wait, traverse, offload, compute,
     collect, total), QUANTILE is p50 | p99 | p999 | max | mean, and
     BOUND takes a ps/ns/us/ms suffix (plain numbers are picoseconds).
+    macro_serve writes a quantile as null when fewer than 10 samples
+    lie beyond its rank (a p99 needs 1000); a gate on such a quantile
+    fails and names the sample count.
     'dropped<=N' and 'completed>=N' gate the admission counters.
     Gates apply to one sweep point, --sweep-index (default 0, the
     lowest offered load); every number in the file is a deterministic
@@ -152,7 +155,7 @@ def load_serve_sweep(path):
 
 
 def parse_gate(spec):
-    """('total', 'p99_ps', 6e7, '<=') for 'total.p99<=60us'.
+    """('total', 'max_ps', 6e7, '<=') for 'total.max<=60us'.
 
     Counter gates parse to (name, None, bound, op), e.g.
     ('dropped', None, 0.0, '<=') for 'dropped<=0'.
@@ -169,7 +172,7 @@ def parse_gate(spec):
     if not sep:
         counters = ", ".join(n + o for n, o in TAIL_COUNTERS.items())
         raise InputError(f"gate {spec!r}: expected PHASE.QUANTILE<=BOUND "
-                         f"(e.g. 'total.p99<=60us') or a counter gate "
+                         f"(e.g. 'total.max<=60us') or a counter gate "
                          f"({counters})")
     phase, dot, quant = lhs.partition(".")
     if not dot or not phase or quant not in TAIL_QUANTILES:
@@ -189,7 +192,9 @@ def parse_gate(spec):
 
 
 def format_ps(ps):
-    """Human-readable time from picoseconds."""
+    """Human-readable time from picoseconds; n/a for a null quantile."""
+    if ps is None:
+        return "n/a"
     for unit in ("ms", "us", "ns"):
         if ps >= TAIL_UNITS[unit]:
             return f"{ps / TAIL_UNITS[unit]:.2f}{unit}"
@@ -201,7 +206,7 @@ def run_tail(args):
 
     print(f"{'offered qps':>12}  {'achieved qps':>12}  {'done':>5}  "
           f"{'drop':>5}  {'total p50':>10}  {'total p99':>10}  "
-          f"{'total p999':>10}")
+          f"{'total p999':>10}  {'total max':>10}")
     for point in sweep:
         total = point.get("phases", {}).get("total", {})
         print(f"{point.get('offered_qps', 0.0):>12.0f}  "
@@ -210,7 +215,8 @@ def run_tail(args):
               f"{point.get('dropped', 0):>5}  "
               f"{format_ps(total.get('p50_ps', 0)):>10}  "
               f"{format_ps(total.get('p99_ps', 0)):>10}  "
-              f"{format_ps(total.get('p999_ps', 0)):>10}")
+              f"{format_ps(total.get('p999_ps', 0)):>10}  "
+              f"{format_ps(total.get('max_ps', 0)):>10}")
 
     if not (0 <= args.sweep_index < len(sweep)):
         raise InputError(f"--sweep-index {args.sweep_index} out of range "
@@ -241,6 +247,12 @@ def run_tail(args):
         if stats is None or key not in stats:
             print(f"FAIL: gate {spec!r}: phase '{phase}' / '{key}' not "
                   f"in sweep point", file=sys.stderr)
+            failed = True
+            continue
+        if stats[key] is None:
+            print(f"FAIL: gate {spec!r}: {phase}.{key} is unavailable at "
+                  f"n={stats.get('count', '?')} (fewer than 10 samples lie "
+                  f"beyond its rank)", file=sys.stderr)
             failed = True
             continue
         value = float(stats[key])

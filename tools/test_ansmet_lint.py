@@ -441,6 +441,20 @@ class R9DetflowTest(LintRunMixin, unittest.TestCase):
         self.assertIn("cache.h:2:", out)
         self.assertNotIn("cache.h:1:", out)
 
+    def test_unordered_in_core_and_layout_flags(self):
+        # Replay order (src/core) and data placement (src/layout) are
+        # deterministic directories too.
+        for rel in ("src/core/system.h", "src/layout/partition.h"):
+            with self.subTest(rel=rel):
+                p = self.write(
+                    rel,
+                    "#include <unordered_set>\n"
+                    "struct P { std::unordered_set<unsigned> hot_; };\n")
+                code, out, _ = self.run_lint(p)
+                self.assertEqual(code, 1)
+                self.assertIn("ansmet-detflow", out)
+                self.assertIn(os.path.basename(rel) + ":2:", out)
+
     def test_unordered_outside_det_dirs_passes(self):
         p = self.write(
             "src/common/registry.h",

@@ -26,18 +26,24 @@ def bench_json(entries):
     })
 
 
-def serve_json(points):
-    """ansmet-serve-v1 text from [(offered_qps, dropped, total_p99_ps)]."""
+def serve_json(points, count=96):
+    """ansmet-serve-v1 text from [(offered_qps, dropped, max_ps)].
+
+    Like macro_serve, it writes a quantile as null unless 10 samples
+    lie beyond its rank: with the default 96 samples per point the p99
+    and p999 are null, and with 1000 the p99 is reported.
+    """
     sweep = []
-    for qps, dropped, p99 in points:
+    for qps, dropped, top in points:
         phases = {
-            name: {"count": 96, "p50_ps": p99 // 2, "p99_ps": p99,
-                   "p999_ps": p99, "max_ps": p99, "mean_ps": p99 / 2.0}
+            name: {"count": count, "p50_ps": top // 2,
+                   "p99_ps": top if count >= 1000 else None,
+                   "p999_ps": None, "max_ps": top, "mean_ps": top / 2.0}
             for name in ("queue_wait", "traverse", "offload", "compute",
                          "collect", "total")
         }
         sweep.append({"offered_qps": qps, "achieved_qps": qps * 0.9,
-                      "offered": 96, "completed": 96 - dropped,
+                      "offered": count, "completed": count - dropped,
                       "dropped": dropped, "max_occupied_qshrs": 16,
                       "phases": phases})
     return json.dumps({"schema": "ansmet-serve-v1", "design": "NDP-ETOpt",
@@ -191,40 +197,55 @@ class FiguresMode(TempFiles):
 
 class TailMode(TempFiles):
     def test_gate_passes_with_unit_suffix(self):
-        # total p99 is 5us = 5e6 ps; a 60us bound passes.
+        # total max is 5us = 5e6 ps; a 60us bound passes.
         f = self.write("s.json", serve_json([(1e6, 0, 5_000_000)]))
-        r = run_tool("--tail", f, "--gate", "total.p99<=60us",
+        r = run_tool("--tail", f, "--gate", "total.max<=60us",
                      "--gate", "dropped<=0")
         self.assertEqual(r.returncode, 0)
-        self.assertIn("ok: total.p99_ps", r.stdout)
+        self.assertIn("ok: total.max_ps", r.stdout)
         self.assertIn("ok: dropped", r.stdout)
 
     def test_gate_fails_above_bound(self):
         f = self.write("s.json", serve_json([(1e6, 0, 70_000_000)]))
-        r = run_tool("--tail", f, "--gate", "total.p99<=60us")
+        r = run_tool("--tail", f, "--gate", "total.max<=60us")
         self.assertEqual(r.returncode, 1)
         self.assertIn("exceeds", r.stderr)
+
+    def test_gate_on_refused_quantile_fails(self):
+        # 96 samples cannot support a p99: the file holds null, and
+        # the gate fails naming n however loose its bound.
+        f = self.write("s.json", serve_json([(1e6, 0, 5_000_000)]))
+        r = run_tool("--tail", f, "--gate", "total.p99<=60us")
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("unavailable at n=96", r.stderr)
+        self.assertIn("n/a", r.stdout)
+        # 1000 samples support it.
+        f = self.write("s.json", serve_json([(1e6, 0, 5_000_000)],
+                                            count=1000))
+        r = run_tool("--tail", f, "--gate", "total.p99<=60us")
+        self.assertEqual(r.returncode, 0)
+        self.assertIn("ok: total.p99_ps", r.stdout)
 
     def test_units_are_converted(self):
         # 5e6 ps == 5000 ns == 5 us == 0.005 ms; all four spellings of
         # the same bound must agree.
         f = self.write("s.json", serve_json([(1e6, 0, 5_000_000)]))
         for bound in ("5000000ps", "5000000", "5000ns", "5us", "0.005ms"):
-            r = run_tool("--tail", f, "--gate", f"total.p99<={bound}")
+            r = run_tool("--tail", f, "--gate", f"total.max<={bound}")
             self.assertEqual(r.returncode, 0, msg=bound)
-        r = run_tool("--tail", f, "--gate", "total.p99<=4999999ps")
+        r = run_tool("--tail", f, "--gate", "total.max<=4999999ps")
         self.assertEqual(r.returncode, 1)
 
     def test_sweep_index_selects_point(self):
         f = self.write("s.json", serve_json([(1e6, 0, 5_000_000),
                                              (4e6, 10, 80_000_000)]))
-        r = run_tool("--tail", f, "--gate", "total.p99<=60us")
+        r = run_tool("--tail", f, "--gate", "total.max<=60us")
         self.assertEqual(r.returncode, 0)  # default: point 0
         r = run_tool("--tail", f, "--sweep-index", "1",
-                     "--gate", "total.p99<=60us")
+                     "--gate", "total.max<=60us")
         self.assertEqual(r.returncode, 1)
         r = run_tool("--tail", f, "--sweep-index", "2",
-                     "--gate", "total.p99<=60us")
+                     "--gate", "total.max<=60us")
         self.assertEqual(r.returncode, 2)
         self.assertIn("out of range", r.stderr)
 
