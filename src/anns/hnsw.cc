@@ -218,11 +218,11 @@ HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
 }
 
 std::vector<VectorId>
-HnswIndex::selectNeighbors(const float *q, std::vector<Neighbor> candidates,
-                           unsigned m_target) const
+HnswIndex::selectNeighbors(std::vector<Neighbor> candidates,
+                           unsigned m_target, VisitScratch &s) const
 {
-    (void)q;
     std::sort(candidates.begin(), candidates.end());
+    s.cand.resize(vs_.dims());
     std::vector<VectorId> selected;
     std::vector<Neighbor> discarded;
 
@@ -232,9 +232,9 @@ HnswIndex::selectNeighbors(const float *q, std::vector<Neighbor> candidates,
         if (selected.size() >= m_target)
             break;
         bool keep = true;
-        std::vector<float> cbuf = vs_.toFloat(c.id);
-        for (const VectorId s : selected) {
-            if (distance(metric_, cbuf.data(), vs_, s) < c.dist) {
+        vs_.toFloat(c.id, s.cand.data());
+        for (const VectorId sel : selected) {
+            if (distance(metric_, s.cand.data(), vs_, sel) < c.dist) {
                 keep = false;
                 break;
             }
@@ -255,40 +255,44 @@ HnswIndex::selectNeighbors(const float *q, std::vector<Neighbor> candidates,
 }
 
 void
-HnswIndex::shrink(VectorId v, unsigned level)
+HnswIndex::shrink(VectorId v, unsigned level, VisitScratch &s)
 {
     auto &links = nodes_[v].links[level];
     const unsigned cap = params_.maxDegree(level);
     if (links.size() <= cap)
         return;
 
-    std::vector<float> vbuf = vs_.toFloat(v);
+    s.vertex.resize(vs_.dims());
+    vs_.toFloat(v, s.vertex.data());
     std::vector<Neighbor> cands;
     cands.reserve(links.size());
     for (const VectorId nb : links)
-        cands.push_back({distance(metric_, vbuf.data(), vs_, nb), nb});
-    links = selectNeighbors(vbuf.data(), std::move(cands), cap);
+        cands.push_back({distance(metric_, s.vertex.data(), vs_, nb), nb});
+    links = selectNeighbors(std::move(cands), cap, s);
 }
 
 HnswIndex::InsertPlan
 HnswIndex::planInsert(VectorId v, unsigned level, VisitScratch &vis) const
 {
-    std::vector<float> q = vs_.toFloat(v);
-    Neighbor ep{dist(q.data(), entry_), entry_};
+    vis.vertex.resize(vs_.dims());
+    vs_.toFloat(v, vis.vertex.data());
+    const float *q = vis.vertex.data();
+    Neighbor ep{dist(q, entry_), entry_};
 
     // Greedy descent through layers above the insertion level.
     for (unsigned l = max_level_; l > level && l > 0; --l)
-        ep = searchLayer(q.data(), ep, 1, l, nullptr, vis).front();
+        ep = searchLayer(q, ep, 1, l, nullptr, vis).front();
 
     InsertPlan plan;
     const unsigned top = std::min(level, max_level_);
     plan.selected.resize(top + 1);
     for (int l = static_cast<int>(top); l >= 0; --l) {
         const auto lu = static_cast<unsigned>(l);
-        auto found = searchLayer(q.data(), ep, params_.efConstruction, lu,
+        auto found = searchLayer(q, ep, params_.efConstruction, lu,
                                  nullptr, vis);
         ep = found.front();
-        plan.selected[lu] = selectNeighbors(q.data(), found, params_.m);
+        plan.selected[lu] = selectNeighbors(std::move(found), params_.m,
+                                            vis);
     }
     return plan;
 }
@@ -366,6 +370,7 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
         // Phase B2 (parallel): targets are distinct across keys, so
         // each append + shrink touches exactly one neighbor list.
         runtime::parallelFor(0, groups.size(), [&](std::size_t lo, std::size_t hi) {
+            ScratchLease vis(n);
             for (std::size_t i = lo; i < hi; ++i) {
                 const auto [b, e] = groups[i];
                 const std::uint64_t key = incoming[b].first;
@@ -374,7 +379,7 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
                 auto &links = nodes_[nb].links[l];
                 for (std::size_t s = b; s < e; ++s)
                     links.push_back(incoming[s].second);
-                shrink(nb, l);
+                shrink(nb, l, *vis);
             }
         });
 

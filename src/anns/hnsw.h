@@ -115,16 +115,23 @@ class HnswIndex
         std::vector<std::vector<VectorId>> links;
     };
 
-    /** Visited-set scratch (tag array + epoch counter), one per thread. */
+    /**
+     * Per-thread scratch: the visited set (tag array + epoch counter)
+     * and the staging buffers that keep search and build from
+     * allocating per step.
+     */
     struct VisitScratch
     {
         std::vector<std::uint32_t> tag;
         std::uint32_t epoch = 0;
-        // Neighbor-expansion staging for the batched distance kernel;
-        // kept here so expansion allocates nothing per step.
+        // Neighbor-expansion staging for the batched distance kernel.
         std::vector<VectorId> batchIds;
         std::vector<double> batchDist;
-        bool inUse = false; //!< a search on this thread holds it
+        // Build-time decodes: the vertex being inserted or shrunk, and
+        // the candidate selectNeighbors() tests while it is decoded.
+        std::vector<float> vertex;
+        std::vector<float> cand;
+        bool inUse = false; //!< a search or build chunk holds it
     };
 
     /** RAII claim on the calling thread's VisitScratch (hnsw.cc). */
@@ -154,10 +161,14 @@ class HnswIndex
                                       SearchObserver *obs,
                                       VisitScratch &vis) const;
 
-    /** HNSW Algorithm 4 neighbor selection (heuristic with pruning). */
-    std::vector<VectorId> selectNeighbors(const float *q,
-                                          std::vector<Neighbor> candidates,
-                                          unsigned m_target) const;
+    /**
+     * HNSW Algorithm 4 neighbor selection (heuristic with pruning).
+     * Decodes candidates into @p s.cand, so the caller's vertex may
+     * sit in @p s.vertex.
+     */
+    std::vector<VectorId> selectNeighbors(std::vector<Neighbor> candidates,
+                                          unsigned m_target,
+                                          VisitScratch &s) const;
 
     /** Per-vertex levels drawn from seed-derived per-vertex streams. */
     std::vector<unsigned> drawLevels() const;
@@ -168,7 +179,7 @@ class HnswIndex
 
     void buildOrdered(const std::vector<unsigned> &levels);
 
-    void shrink(VectorId v, unsigned level);
+    void shrink(VectorId v, unsigned level, VisitScratch &s);
 
     const VectorSet &vs_;
     Metric metric_;

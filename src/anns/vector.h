@@ -11,6 +11,7 @@
 #define ANSMET_ANNS_VECTOR_H
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "anns/scalar.h"
@@ -131,12 +132,34 @@ class VectorSet
         }
     }
 
-    /** Copy vector @p v into a float buffer of dims() entries. */
+    /**
+     * Copy vector @p v into a float buffer of dims() entries: at(v, d)
+     * for every d, with the type switch hoisted out of the loop.
+     */
     void
     toFloat(VectorId v, float *out) const
     {
-        for (unsigned d = 0; d < dims_; ++d)
-            out[d] = at(v, d);
+        const std::uint8_t *p = raw(v);
+        switch (type_) {
+          case ScalarType::kUint8:
+            for (unsigned d = 0; d < dims_; ++d)
+                out[d] = static_cast<float>(p[d]);
+            break;
+          case ScalarType::kInt8:
+            for (unsigned d = 0; d < dims_; ++d)
+                out[d] = static_cast<float>(static_cast<std::int8_t>(p[d]));
+            break;
+          case ScalarType::kFp16:
+            for (unsigned d = 0; d < dims_; ++d) {
+                std::uint16_t h;
+                std::memcpy(&h, p + 2 * d, 2);
+                out[d] = halfToFloat(h);
+            }
+            break;
+          case ScalarType::kFp32:
+            std::memcpy(out, p, std::size_t{dims_} * 4);
+            break;
+        }
     }
 
     std::vector<float>

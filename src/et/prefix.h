@@ -38,6 +38,8 @@ struct CommonPrefix
     ScalarType type = ScalarType::kFp32;
     unsigned length = 0;      //!< P, in bits
     std::uint32_t bits = 0;   //!< LSB-aligned P-bit prefix value
+
+    bool operator==(const CommonPrefix &) const = default;
 };
 
 /**

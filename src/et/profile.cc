@@ -48,25 +48,22 @@ sampleThreshold(const anns::VectorSet &vs, anns::Metric metric,
 /**
  * pET of one (query, vector) pair: the smallest uniform per-element
  * prefix length whose bound exceeds the threshold; W+1 if none.
+ * @p keys holds the vector's @p d sortable keys.
  */
 unsigned
-etPosition(const anns::VectorSet &vs, anns::Metric metric, const float *q,
-           VectorId v, double threshold, ValueInterval global_range,
-           BoundScratch &s)
+etPosition(ScalarType type, unsigned d, anns::Metric metric, const float *q,
+           const std::uint32_t *keys, double threshold,
+           ValueInterval global_range, BoundScratch &s)
 {
-    const ScalarType type = vs.type();
     const unsigned w = keyBits(type);
-    const unsigned d = vs.dims();
     s.acc.reset(metric, q, d, global_range);
-    for (unsigned i = 0; i < d; ++i)
-        s.keys[i] = toKey(type, vs.bitsAt(v, i));
 
     // One batched kernel pass per prefix length: stage every
     // dimension's refined interval, then tighten them all at once.
     const anns::PrefixIntervalsFn stage =
         anns::kernels().prefixIntervals[anns::typeIndex(type)];
     for (unsigned len = 1; len <= w; ++len) {
-        stage(s.keys.data(), d, len, s.nlo.data(), s.nhi.data());
+        stage(keys, d, len, s.nlo.data(), s.nhi.data());
         s.acc.updateBatch(0, d, s.nlo.data(), s.nhi.data());
         if (s.acc.lowerBound() >= threshold)
             return len;
@@ -194,10 +191,13 @@ klDivergence(const std::vector<double> &p, const std::vector<double> &q,
 ValueInterval
 globalValueRange(const anns::VectorSet &vs)
 {
+    ANSMET_CHECK(vs.size() >= 1,
+                 "globalValueRange needs at least one vector");
     double lo = vs.at(0, 0), hi = lo;
+    std::vector<float> buf(vs.dims());
     for (std::size_t v = 0; v < vs.size(); ++v) {
-        for (unsigned d = 0; d < vs.dims(); ++d) {
-            const double x = vs.at(static_cast<VectorId>(v), d);
+        vs.toFloat(static_cast<VectorId>(v), buf.data());
+        for (const double x : buf) {
             lo = std::min(lo, x);
             hi = std::max(hi, x);
         }
@@ -205,10 +205,45 @@ globalValueRange(const anns::VectorSet &vs)
     return {lo, hi};
 }
 
+std::vector<double>
+prefixEntropy(const std::vector<std::uint32_t> &keys, unsigned key_width)
+{
+    ANSMET_CHECK(key_width >= 1 && key_width <= 32);
+    // Sorted run-length counting: summation order is ascending prefix
+    // value, so the floating-point entropy sum is schedule- and
+    // hash-independent (iterating an unordered_map here would make the
+    // sum depend on bucket order). Truncating sorted keys keeps them
+    // sorted, so one sort serves every prefix length, and each
+    // length's runs come out in the same ascending order.
+    std::vector<std::uint32_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> entropy(key_width);
+    for (unsigned len = 1; len <= key_width; ++len) {
+        const unsigned shift = key_width - len;
+        double h = 0.0;
+        for (std::size_t i = 0; i < sorted.size();) {
+            const std::uint32_t prefix = sorted[i] >> shift;
+            std::size_t j = i + 1;
+            while (j < sorted.size() && (sorted[j] >> shift) == prefix)
+                ++j;
+            const double p = static_cast<double>(j - i) /
+                             static_cast<double>(sorted.size());
+            h -= p * std::log2(p);
+            i = j;
+        }
+        entropy[len - 1] = h; // raw entropy in bits
+    }
+    return entropy;
+}
+
 EtProfile
 buildProfile(const anns::VectorSet &vs, anns::Metric metric,
              const ProfileConfig &cfg)
 {
+    ANSMET_CHECK(vs.size() >= 2, "buildProfile needs at least 2 vectors, "
+                 "got ", vs.size());
+    ANSMET_CHECK(cfg.numSamples >= 2, "buildProfile needs numSamples >= 2, "
+                 "got ", cfg.numSamples);
     EtProfile prof;
     prof.type = vs.type();
     prof.metric = metric;
@@ -232,35 +267,16 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
     prof.threshold = sampleThreshold(vs, metric, sample,
                                      cfg.thresholdPercentile);
 
-    // Prefix entropy per length (Figure 3, blue curve).
+    // The sample's sortable keys, sample-major: the entropy pass, the
+    // ET-position walk and the common-prefix search all read them.
     std::vector<std::uint32_t> keys;
     keys.reserve(sample.size() * vs.dims());
     for (const VectorId v : sample)
         for (unsigned d = 0; d < vs.dims(); ++d)
             keys.push_back(toKey(vs.type(), vs.bitsAt(v, d)));
 
-    // Sorted run-length counting: summation order is ascending prefix
-    // value, so the floating-point entropy sum is schedule- and
-    // hash-independent (iterating an unordered_map here would make the
-    // sum depend on bucket order).
-    prof.prefixEntropy.resize(w);
-    std::vector<std::uint32_t> shifted(keys.size());
-    for (unsigned len = 1; len <= w; ++len) {
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            shifted[i] = keys[i] >> (w - len);
-        std::sort(shifted.begin(), shifted.end());
-        double h = 0.0;
-        for (std::size_t i = 0; i < shifted.size();) {
-            std::size_t j = i + 1;
-            while (j < shifted.size() && shifted[j] == shifted[i])
-                ++j;
-            const double p = static_cast<double>(j - i) /
-                             static_cast<double>(keys.size());
-            h -= p * std::log2(p);
-            i = j;
-        }
-        prof.prefixEntropy[len - 1] = h; // raw entropy in bits
-    }
+    // Prefix entropy per length (Figure 3, blue curve).
+    prof.prefixEntropy = prefixEntropy(keys, w);
 
     // ET positions over sampled (query, vector) pairs (Figure 3, red).
     std::vector<float> qbuf(vs.dims());
@@ -273,9 +289,10 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
              ++j) {
             if (i == j)
                 continue;
-            prof.etPositions.push_back(
-                etPosition(vs, metric, qbuf.data(), sample[j],
-                           prof.threshold, prof.globalRange, scratch));
+            prof.etPositions.push_back(etPosition(
+                vs.type(), vs.dims(), metric, qbuf.data(),
+                keys.data() + j * vs.dims(), prof.threshold,
+                prof.globalRange, scratch));
             ++pairs;
         }
     }

@@ -33,6 +33,8 @@ struct DualParams
     unsigned nc = 8; //!< coarse bit step
     unsigned tc = 0; //!< number of coarse steps
     unsigned nf = 4; //!< fine bit step
+
+    bool operator==(const DualParams &) const = default;
 };
 
 /** Everything learned by preprocessing one dataset. */
@@ -60,6 +62,8 @@ struct EtProfile
 
     /** Expected lines per comparison (for adaptive polling). */
     double expectedFetchLines() const;
+
+    bool operator==(const EtProfile &) const = default;
 };
 
 /** Preprocessing configuration (paper defaults). */
@@ -75,10 +79,23 @@ struct ProfileConfig
 /**
  * Dataset-wide [min, max] element value of @p vs: what an IP bound
  * assumes for a dimension none of whose bits have been fetched.
+ * @p vs must hold at least one vector.
  */
 ValueInterval globalValueRange(const anns::VectorSet &vs);
 
-/** Run the full preprocessing pass over @p vs. */
+/**
+ * Shannon entropy, in bits, of the key prefixes of every length over
+ * @p keys (Figure 3, blue curve): element L-1 is the entropy of the
+ * top-L-bit prefixes of the @p key_width-bit keys, for L = 1..W.
+ */
+std::vector<double> prefixEntropy(const std::vector<std::uint32_t> &keys,
+                                  unsigned key_width);
+
+/**
+ * Run the full preprocessing pass over @p vs. Needs at least two
+ * vectors and cfg.numSamples >= 2: the threshold is a percentile of
+ * distances between distinct sampled vectors.
+ */
 EtProfile buildProfile(const anns::VectorSet &vs, anns::Metric metric,
                        const ProfileConfig &cfg = {});
 

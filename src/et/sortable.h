@@ -104,6 +104,8 @@ struct ValueInterval
 {
     double lo;
     double hi;
+
+    bool operator==(const ValueInterval &) const = default;
 };
 
 /**

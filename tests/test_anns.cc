@@ -74,6 +74,40 @@ TEST(VectorSet, ClampsToRange)
     EXPECT_EQ(i8.at(0, 1), 127.0f);
 }
 
+TEST(VectorSet, ToFloatMatchesAtBitwise)
+{
+    Prng rng(11);
+    for (const ScalarType t :
+         {ScalarType::kUint8, ScalarType::kInt8, ScalarType::kFp16,
+          ScalarType::kFp32}) {
+        for (const unsigned dims : {1u, 7u, 100u, 960u}) {
+            // Random bit patterns reach every sign, fp16 subnormals,
+            // infinities and NaNs; vector 0's first element has its
+            // sign bit forced, so even one dim sees a negative value.
+            VectorSet vs(6, dims, t);
+            for (VectorId v = 0; v < vs.size(); ++v) {
+                std::uint8_t *p = vs.raw(v);
+                for (std::size_t b = 0; b < vs.vectorBytes(); ++b)
+                    p[b] = static_cast<std::uint8_t>(rng.next());
+            }
+            vs.raw(0)[scalarBytes(t) - 1] |= 0x80;
+            if (t != ScalarType::kUint8) {
+                EXPECT_TRUE(std::signbit(vs.at(0, 0))) << scalarName(t);
+            }
+
+            std::vector<float> out(dims);
+            for (VectorId v = 0; v < vs.size(); ++v) {
+                vs.toFloat(v, out.data());
+                for (unsigned d = 0; d < dims; ++d) {
+                    ASSERT_EQ(floatBits(out[d]), floatBits(vs.at(v, d)))
+                        << scalarName(t) << " dims=" << dims << " v=" << v
+                        << " d=" << d;
+                }
+            }
+        }
+    }
+}
+
 TEST(Distance, L2MatchesManual)
 {
     VectorSet vs(1, 3, ScalarType::kFp32);

@@ -115,6 +115,23 @@ TEST_F(ExperimentTest, GraphCacheRoundTrips)
     }
 }
 
+TEST_F(ExperimentTest, ProfileDoesNotDependOnK)
+{
+    // Dataset, graph and ET profile take no k, so contexts that differ
+    // only in k could share them.
+    for (const anns::DatasetId id :
+         {anns::DatasetId::kDeep, anns::DatasetId::kSift}) {
+        ExperimentConfig cfg = smallConfig();
+        cfg.dataset = id;
+        cfg.k = 1;
+        const ExperimentContext k1(cfg);
+        cfg.k = 10;
+        const ExperimentContext k10(cfg);
+        EXPECT_EQ(k1.profile(), k10.profile())
+            << anns::datasetSpec(id).name;
+    }
+}
+
 TEST_F(ExperimentTest, PreprocessingTimeIsRecorded)
 {
     EXPECT_GT(ctx().etPreprocSeconds(), 0.0);

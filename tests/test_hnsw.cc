@@ -156,6 +156,73 @@ TEST(Hnsw, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.search(q.data(), 10, 64), idx.search(q.data(), 10, 64));
 }
 
+/**
+ * 1,200 vectors of @p type around twelve centers, drawn from Prng
+ * alone: no libm call, so the set does not depend on the math library.
+ */
+VectorSet
+pinnedSet(ScalarType type)
+{
+    constexpr std::size_t kN = 1200;
+    constexpr unsigned kDims = 24;
+    constexpr std::size_t kCenters = 12;
+    const double lo = type == ScalarType::kUint8 ? 0.0
+                      : type == ScalarType::kInt8 ? -128.0 : -1.0;
+    const double hi = type == ScalarType::kUint8 ? 255.0
+                      : type == ScalarType::kInt8 ? 127.0 : 1.0;
+    const double noise = (hi - lo) / 16.0;
+
+    Prng rng(0x9a11 + static_cast<std::uint64_t>(type));
+    std::vector<double> centers(kCenters * kDims);
+    for (double &c : centers)
+        c = rng.uniform(lo + noise, hi - noise);
+    VectorSet vs(kN, kDims, type);
+    for (VectorId v = 0; v < kN; ++v) {
+        const std::size_t c = rng.below(kCenters);
+        for (unsigned d = 0; d < kDims; ++d) {
+            vs.set(v, d, static_cast<float>(centers[c * kDims + d] +
+                                            rng.uniform(-noise, noise)));
+        }
+    }
+    return vs;
+}
+
+/** 64-bit FNV-1a of @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Hnsw, GraphBytesArePinnedPerScalarType)
+{
+    // Hashes of the bytes save() writes, recorded at commit 2e9c2db,
+    // before the build decoded into per-thread scratch: a build change
+    // that claims to keep every graph must keep these. The level draw
+    // calls std::log, so, like the golden figures, they are pinned to
+    // the toolchain.
+    const std::pair<ScalarType, std::uint64_t> pinned[] = {
+        {ScalarType::kUint8, 0x3b84ef14b8f3db75ull},
+        {ScalarType::kInt8, 0xb9e83570da110844ull},
+        {ScalarType::kFp16, 0x09aca5b8e5abea07ull},
+        {ScalarType::kFp32, 0x606d9240dd8e8f64ull},
+    };
+    for (const auto &[type, hash] : pinned) {
+        const VectorSet vs = pinnedSet(type);
+        const HnswIndex idx(vs, Metric::kL2, HnswParams{8, 40, 42});
+        std::ostringstream os;
+        idx.save(os);
+        EXPECT_EQ(fnv1a(os.str()), hash)
+            << scalarName(type) << ": got 0x" << std::hex
+            << fnv1a(os.str());
+    }
+}
+
 /** A 300-vector graph and its bytes as save() writes them. */
 struct SavedGraph
 {

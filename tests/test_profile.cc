@@ -1,16 +1,21 @@
 /**
  * @file
  * Sampling-based preprocessing tests: threshold percentiles, entropy
- * and ET-frequency profiles (Figure 3's shapes), the dual-granularity
- * cost model and optimizer, and KL divergence.
+ * and ET-frequency profiles (Figure 3's shapes), the one-sort entropy
+ * pass against its per-length reference, the dual-granularity cost
+ * model and optimizer, KL divergence, and the size preconditions.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "anns/dataset.h"
+#include "common/prng.h"
 #include "et/profile.h"
+#include "reference_profile.h"
 
 namespace ansmet::et {
 namespace {
@@ -179,6 +184,102 @@ TEST_F(ProfileTest, FetchDistributionIsNormalized)
                                          prof.fetchCountDist.end(), 0.0);
     EXPECT_NEAR(total, 1.0, 1e-9);
     EXPECT_GT(prof.expectedFetchLines(), 0.0);
+}
+
+/** Key sets the entropy pass must reproduce bitwise, per key width. */
+std::vector<std::pair<const char *, std::vector<std::uint32_t>>>
+entropyKeySets(unsigned w)
+{
+    const std::uint32_t mask =
+        w == 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << w) - 1;
+    constexpr std::size_t kN = 5000;
+    Prng rng(w);
+
+    std::vector<std::uint32_t> random(kN);
+    for (auto &k : random)
+        k = static_cast<std::uint32_t>(rng.next()) & mask;
+
+    // Five centers with noise in the low three bits: every prefix
+    // short enough to drop the noise has at most five values.
+    std::uint32_t centers[5];
+    for (auto &c : centers)
+        c = static_cast<std::uint32_t>(rng.next()) & mask & ~7u;
+    std::vector<std::uint32_t> clustered(kN);
+    for (auto &k : clustered)
+        k = centers[rng.below(5)] | static_cast<std::uint32_t>(rng.below(8));
+
+    const std::vector<std::uint32_t> equal(kN, 0x5a5a5a5au & mask);
+
+    // Distinct keys in shuffled order: kN of them, or every 8-bit key
+    // once (i times an odd constant is a bijection modulo 2^w).
+    std::vector<std::uint32_t> distinct(
+        std::min<std::size_t>(kN, std::size_t{mask} + 1));
+    for (std::size_t i = 0; i < distinct.size(); ++i)
+        distinct[i] = static_cast<std::uint32_t>(i * 2654435761u) & mask;
+    for (std::size_t i = distinct.size() - 1; i > 0; --i)
+        std::swap(distinct[i], distinct[rng.below(i + 1)]);
+
+    return {{"random", random},
+            {"clustered", clustered},
+            {"all-equal", equal},
+            {"all-distinct", distinct},
+            {"one key", {0x1234567u & mask}}};
+}
+
+TEST(PrefixEntropy, OneSortMatchesPerLengthSortsBitwise)
+{
+    for (const unsigned w : {8u, 16u, 32u}) {
+        for (const auto &[name, keys] : entropyKeySets(w)) {
+            const std::vector<double> got = prefixEntropy(keys, w);
+            ASSERT_EQ(got.size(), w);
+            EXPECT_EQ(got, test::referencePrefixEntropy(keys, w))
+                << name << " keys, width " << w;
+        }
+    }
+}
+
+TEST(PrefixEntropy, KnownValues)
+{
+    // All-equal keys carry no information at any length; the 256
+    // distinct 8-bit keys carry exactly L bits in their top L.
+    for (const double h : prefixEntropy(std::vector<std::uint32_t>(9, 77), 8))
+        EXPECT_EQ(h, 0.0);
+    std::vector<std::uint32_t> all(256);
+    std::iota(all.begin(), all.end(), 0u);
+    const std::vector<double> h = prefixEntropy(all, 8);
+    for (unsigned len = 1; len <= 8; ++len)
+        EXPECT_DOUBLE_EQ(h[len - 1], static_cast<double>(len));
+}
+
+TEST(ProfileDeathTest, EmptyAndTinySetsDieWithAMessage)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const anns::VectorSet empty(0, 4, ScalarType::kFp32);
+    EXPECT_DEATH((void)globalValueRange(empty),
+                 "globalValueRange needs at least one vector");
+
+    const anns::VectorSet one(1, 4, ScalarType::kFp32);
+    EXPECT_DEATH((void)buildProfile(one, anns::Metric::kL2),
+                 "buildProfile needs at least 2 vectors, got 1");
+
+    anns::VectorSet two(2, 4, ScalarType::kFp32);
+    two.set(1, 0, 1.0f);
+    ProfileConfig cfg;
+    cfg.numSamples = 1;
+    EXPECT_DEATH((void)buildProfile(two, anns::Metric::kL2, cfg),
+                 "buildProfile needs numSamples >= 2, got 1");
+}
+
+TEST(Profile, SmallestValidInputsBuild)
+{
+    anns::VectorSet two(2, 4, ScalarType::kFp32);
+    two.set(1, 0, 1.0f);
+    EXPECT_EQ(globalValueRange(two), (ValueInterval{0.0, 1.0}));
+    ProfileConfig cfg;
+    cfg.numSamples = 2;
+    const EtProfile prof = buildProfile(two, anns::Metric::kL2, cfg);
+    EXPECT_EQ(prof.etPositions.size(), 2u);
+    EXPECT_EQ(prof.threshold, 1.0);
 }
 
 TEST(Profile, SamplingConvergence)

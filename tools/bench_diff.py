@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compare google-benchmark JSON outputs and reproduced figure text.
+"""Compare benchmark outputs, perfbench reports and reproduced figure text.
 
-Four modes, stdlib only:
+Five modes, stdlib only:
 
   Delta mode -- compare two runs benchmark-by-benchmark:
 
@@ -54,12 +54,30 @@ Four modes, stdlib only:
     noise. Exit 1 if any gate fails -- this is the CI serving-tail
     assertion.
 
+  Baseline mode -- compare a change's perfbench report with its parent's:
+
+      tools/bench_diff.py --baseline PARENT.json CHANGE.json
+
+    Reads two reports written by perfbench/run.py (under
+    .bench_build/perfbench/reports/, or a committed BENCH_*.json).
+    Reports whose fingerprints differ in workload, nproc, CPU model,
+    SIMD tier, build type, lanes or seeds are refused (exit 2): their
+    times are not comparable. setup_s and sweep_s are recomputed from
+    the raw per-repetition arrays with run.py's statistic, the median of
+    cpu_s scaled to the reference host by the speed probe, and printed
+    as parent, change and relative change; peak_rss_mb too when a
+    report carries it. Exit 1 if the two sim_digests differ: a
+    host-only change must not move the simulated output.
+
 Exit codes: 0 ok, 1 comparison failed, 2 unreadable/malformed input.
 """
 
 import argparse
 import difflib
+import importlib.util
 import json
+import os
+import statistics
 import sys
 
 TIERS = ("scalar", "avx2", "avx512", "ref", "opt")
@@ -78,6 +96,15 @@ TAIL_COUNTERS = {"dropped": "<=", "completed": ">="}
 # Tiers that serve as the denominator of a speedup ratio; a measured
 # entry's baseline sibling is looked up in this order.
 BASELINE_TIERS = ("scalar", "ref")
+
+# perfbench's runner, whose host-speed scaling baseline mode reuses.
+PERFBENCH_RUN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "perfbench", "run.py")
+
+# Fingerprint fields two perfbench reports must share to be compared.
+BASELINE_FINGERPRINT = ("workload", "nproc", "cpu_model", "simd",
+                        "build_type", "lanes", "seed", "data_seed",
+                        "arrival_seed")
 
 
 class InputError(Exception):
@@ -266,6 +293,93 @@ def run_tail(args):
     return 1 if failed else 0
 
 
+def load_report(path):
+    """A perfbench report, with the fields baseline mode reads checked."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except OSError as e:
+        raise InputError(f"cannot read perfbench report {path!r}: "
+                         f"{e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path!r} is not valid JSON (line {e.lineno}: "
+                         f"{e.msg})") from e
+    if not isinstance(data, dict) or \
+            not isinstance(data.get("fingerprint"), dict):
+        raise InputError(f"{path!r}: expected a perfbench report with a "
+                         f"fingerprint object")
+    try:
+        setup = [(float(s["cpu_s"]), float(s["probe_s"]))
+                 for s in data["setup"]]
+        sweep = list(zip(map(float, data["sweep_cpu_s"]),
+                         map(float, data["sweep_probe_s"])))
+        ok = len(data["sweep_cpu_s"]) == len(data["sweep_probe_s"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{path!r}: missing or malformed setup / "
+                         f"sweep_cpu_s / sweep_probe_s arrays") from e
+    if not ok or not setup or not sweep or \
+            any(p <= 0 for _, p in setup + sweep):
+        raise InputError(f"{path!r}: setup and sweep arrays must be "
+                         f"non-empty, paired, with positive probe times")
+    return data, setup, sweep
+
+
+def perfbench_scaled():
+    """run.py's scaled(cpu_s, probe_s): CPU seconds on the reference host."""
+    sys.dont_write_bytecode = True  # leave no cache file in perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH_RUN)
+    run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(run)
+    except OSError as e:
+        raise InputError(f"cannot load perfbench/run.py: "
+                         f"{e.strerror or e}") from e
+    return run.scaled
+
+
+def run_baseline(args):
+    (parent, p_setup, p_sweep), (change, c_setup, c_sweep) = \
+        (load_report(f) for f in args.files)
+    pf, cf = parent["fingerprint"], change["fingerprint"]
+    differ = [k for k in BASELINE_FINGERPRINT if pf.get(k) != cf.get(k)]
+    if differ:
+        detail = "; ".join(f"{k}: {pf.get(k)!r} vs {cf.get(k)!r}"
+                           for k in differ)
+        raise InputError(f"fingerprints differ, so the reports are not "
+                         f"comparable ({detail})")
+
+    scaled = perfbench_scaled()
+    med = statistics.median
+    rows = [(name, med(scaled(c, p) for c, p in ps),
+             med(scaled(c, p) for c, p in cs), len(ps), len(cs))
+            for name, ps, cs in (("setup_s", p_setup, c_setup),
+                                 ("sweep_s", p_sweep, c_sweep))]
+    rss = [r.get("metrics", {}).get("peak_rss_mb", {}).get("value")
+           for r in (parent, change)]
+    print(f"{pf['workload']}: seed {pf['seed']}, {pf['nproc']} CPUs "
+          f"({pf['cpu_model']}, {pf['simd']}), {pf['build_type']}, "
+          f"{pf['lanes']} lane(s)")
+    print(f"{'metric':<12}  {'parent':>10}  {'change':>10}  {'change %':>8}"
+          f"  n")
+    for name, old, new, n_old, n_new in rows:
+        print(f"{name:<12}  {old:>10.4f}  {new:>10.4f}  "
+              f"{(new - old) / old * 100.0:>+7.1f}%  {n_old} vs {n_new}")
+    if any(v is not None for v in rss):
+        old, new = (f"{v:.2f}" if v is not None else "n/a" for v in rss)
+        delta = (f"{(rss[1] - rss[0]) / rss[0] * 100.0:>+7.1f}%"
+                 if None not in rss else f"{'n/a':>8}")
+        print(f"{'peak_rss_mb':<12}  {old:>10}  {new:>10}  {delta}")
+
+    if pf.get("sim_digest") != cf.get("sim_digest"):
+        print(f"FAIL: sim_digest {pf.get('sim_digest')} (parent) != "
+              f"{cf.get('sim_digest')} (change): the simulated output "
+              f"changed", file=sys.stderr)
+        return 1
+    print(f"sim_digest {pf.get('sim_digest')} unchanged")
+    return 0
+
+
 def split_tier(name):
     """('kernel_l2/fp32', 'avx2') for 'kernel_l2/fp32/avx2', else None."""
     head, sep, tier = name.rpartition("/")
@@ -361,13 +475,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("files", nargs="+",
                     help="input file(s): two JSON for delta mode, one "
-                         "JSON with --speedup, two texts with --figures")
+                         "JSON with --speedup, two texts with --figures, "
+                         "two perfbench reports with --baseline")
     ap.add_argument("--speedup", action="store_true",
                     help="single-file tier-vs-scalar speedup mode")
     ap.add_argument("--figures", action="store_true",
                     help="two-file figure-text identity mode")
     ap.add_argument("--tail", action="store_true",
                     help="single-file serving tail-latency gate mode")
+    ap.add_argument("--baseline", action="store_true",
+                    help="two-file perfbench report mode: PARENT CHANGE")
     ap.add_argument("--gate", action="append", default=[],
                     help="tail mode: PHASE.QUANTILE<=BOUND with ps/ns/"
                          "us/ms suffix, or dropped<=N / completed>=N "
@@ -385,8 +502,13 @@ def main():
                          "by more than this percent")
     args = ap.parse_args()
 
-    if sum((args.speedup, args.figures, args.tail)) > 1:
-        ap.error("--speedup, --figures and --tail are mutually exclusive")
+    if sum((args.speedup, args.figures, args.tail, args.baseline)) > 1:
+        ap.error("--speedup, --figures, --tail and --baseline are "
+                 "mutually exclusive")
+    if args.baseline:
+        if len(args.files) != 2:
+            ap.error("--baseline takes exactly two perfbench reports")
+        return run_baseline(args)
     if args.tail:
         if len(args.files) != 1:
             ap.error("--tail takes exactly one serve JSON file")

@@ -51,6 +51,26 @@ def serve_json(points, count=96):
                        "sweep": sweep})
 
 
+FINGERPRINT = {"workload": "fig06_quick", "nproc": 4,
+               "cpu_model": "Xeon", "simd": "avx512",
+               "build_type": "RelWithDebInfo", "ansmet_obs": True,
+               "lanes": 1, "seed": 1, "data_seed": 1, "arrival_seed": 1,
+               "git_commit": "abc", "sim_digest": "44f1dc4be6d9fc32",
+               "sweeps": 1}
+
+
+def report_json(setup, sweep, rss=None, **fingerprint):
+    """A perfbench report from [(cpu_s, probe_s)] setup and sweep runs."""
+    report = {"fingerprint": {**FINGERPRINT, **fingerprint}, "trace": 0,
+              "metrics": {}, "setup": [{"cpu_s": c, "probe_s": p}
+                                       for c, p in setup],
+              "sweep_cpu_s": [c for c, _ in sweep],
+              "sweep_probe_s": [p for _, p in sweep]}
+    if rss is not None:
+        report["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    return json.dumps(report)
+
+
 class TempFiles(unittest.TestCase):
     def setUp(self):
         self._dir = tempfile.TemporaryDirectory()
@@ -295,6 +315,101 @@ class TailMode(TempFiles):
     def test_tail_excludes_other_modes(self):
         f = self.write("s.json", serve_json([(1e6, 0, 5_000_000)]))
         r = run_tool("--tail", "--speedup", f)
+        self.assertEqual(r.returncode, 2)
+        self.assertIn("mutually exclusive", r.stderr)
+
+
+class BaselineMode(TempFiles):
+    # Scaled to the 0.0015 s reference probe, the parent's setups read
+    # 3.0, 1.0 and 4.0 s (median 3.0) and the change's 1.0, 1.5 and
+    # 2.0 s (median 1.5).
+    PARENT_SETUP = [(3.0, 0.0015), (2.0, 0.003), (4.0, 0.0015)]
+    CHANGE_SETUP = [(1.0, 0.0015), (3.0, 0.003), (2.0, 0.0015)]
+
+    def test_medians_of_probe_scaled_repetitions(self):
+        parent = self.write("p.json", report_json(
+            self.PARENT_SETUP, [(10.0, 0.0015), (12.0, 0.002)], rss=50.0))
+        change = self.write("c.json", report_json(
+            self.CHANGE_SETUP, [(9.0, 0.0015), (9.0, 0.0015)], rss=51.0))
+        r = run_tool("--baseline", parent, change)
+        self.assertEqual(r.returncode, 0, msg=r.stderr)
+        lines = {l.split()[0]: l.split() for l in r.stdout.splitlines()
+                 if l.split()}
+        self.assertEqual(lines["setup_s"][1:4], ["3.0000", "1.5000",
+                                                  "-50.0%"])
+        # Sweeps 10.0 and 9.0 s: the median of two averages them.
+        self.assertEqual(lines["sweep_s"][1:4], ["9.5000", "9.0000",
+                                                  "-5.3%"])
+        self.assertEqual(lines["peak_rss_mb"][1:4], ["50.00", "51.00",
+                                                      "+2.0%"])
+        self.assertIn("sim_digest 44f1dc4be6d9fc32 unchanged", r.stdout)
+
+    def test_peak_rss_only_when_reported(self):
+        parent = self.write("p.json", report_json(self.PARENT_SETUP,
+                                                  [(1.0, 0.0015)]))
+        change = self.write("c.json", report_json(self.CHANGE_SETUP,
+                                                  [(1.0, 0.0015)]))
+        r = run_tool("--baseline", parent, change)
+        self.assertEqual(r.returncode, 0, msg=r.stderr)
+        self.assertNotIn("peak_rss_mb", r.stdout)
+        change = self.write("c.json", report_json(
+            self.CHANGE_SETUP, [(1.0, 0.0015)], rss=15.0))
+        r = run_tool("--baseline", parent, change)
+        self.assertRegex(r.stdout, r"peak_rss_mb +n/a +15.00 +n/a")
+
+    def test_differing_fingerprints_are_refused(self):
+        parent = self.write("p.json", report_json(self.PARENT_SETUP,
+                                                  [(1.0, 0.0015)]))
+        for field, value in (("workload", "serve_sift"), ("nproc", 8),
+                             ("cpu_model", "EPYC"), ("simd", "avx2"),
+                             ("build_type", "Release"), ("lanes", 2),
+                             ("seed", 7), ("data_seed", 7),
+                             ("arrival_seed", 7)):
+            change = self.write("c.json", report_json(
+                self.CHANGE_SETUP, [(1.0, 0.0015)], **{field: value}))
+            r = run_tool("--baseline", parent, change)
+            self.assertEqual(r.returncode, 2, msg=field)
+            self.assertIn("fingerprints differ", r.stderr)
+            self.assertIn(field, r.stderr)
+        # The commit and the sweep count may differ.
+        change = self.write("c.json", report_json(
+            self.CHANGE_SETUP, [(1.0, 0.0015)], git_commit="def",
+            sweeps=2))
+        self.assertEqual(run_tool("--baseline", parent, change).returncode,
+                         0)
+
+    def test_digest_mismatch_fails(self):
+        parent = self.write("p.json", report_json(self.PARENT_SETUP,
+                                                  [(1.0, 0.0015)]))
+        change = self.write("c.json", report_json(
+            self.CHANGE_SETUP, [(1.0, 0.0015)], sim_digest="f0eaa02aaa4633f9"))
+        r = run_tool("--baseline", parent, change)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("sim_digest 44f1dc4be6d9fc32 (parent) != "
+                      "f0eaa02aaa4633f9 (change)", r.stderr)
+        self.assertIn("setup_s", r.stdout)  # the times still print
+
+    def test_malformed_report_exits_2(self):
+        ok = self.write("ok.json", report_json(self.PARENT_SETUP,
+                                               [(1.0, 0.0015)]))
+        for name, content in (
+                ("bench.json", bench_json([("a", 1.0)])),
+                ("nosetup.json", json.dumps({"fingerprint": FINGERPRINT})),
+                ("empty.json", report_json([], [(1.0, 0.0015)])),
+                ("zero.json", report_json([(1.0, 0.0)], [(1.0, 0.0015)])),
+                ("cut.json", '{"fingerprint": {')):
+            bad = self.write(name, content)
+            r = run_tool("--baseline", ok, bad)
+            self.assertEqual(r.returncode, 2, msg=name)
+            self.assertIn(name, r.stderr)
+
+    def test_takes_two_reports(self):
+        ok = self.write("ok.json", report_json(self.PARENT_SETUP,
+                                               [(1.0, 0.0015)]))
+        r = run_tool("--baseline", ok)
+        self.assertEqual(r.returncode, 2)
+        self.assertIn("exactly two perfbench reports", r.stderr)
+        r = run_tool("--baseline", "--figures", ok, ok)
         self.assertEqual(r.returncode, 2)
         self.assertIn("mutually exclusive", r.stderr)
 
