@@ -295,7 +295,6 @@ class SystemModel::QueryContext
         }
 
         all_tasks_submitted_ = false;
-        tasks_done_ = false;
         collected_ = false;
         poll_inflight_ = 0;
 
@@ -360,7 +359,6 @@ class SystemModel::QueryContext
     void
     tasksFinished(Tick when)
     {
-        tasks_done_ = true;
         last_task_done_ = when;
         stats_.distComp += when - offload_done_;
         obs::TraceWriter::instance().span(
@@ -566,7 +564,6 @@ class SystemModel::QueryContext
     unsigned max_tasks_per_unit_ = 0;
     std::size_t results_fetched_count_ = 0;
     bool all_tasks_submitted_ = false;
-    bool tasks_done_ = false;
     bool collected_ = false;
 
     // Reusable per-context scratch, indexed by NDP unit (sized in the

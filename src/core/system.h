@@ -198,13 +198,6 @@ class SystemModel
     void beginSession(const std::vector<QueryTrace> &traces,
                       unsigned slots);
 
-    /** Slots the open session was sized with. */
-    unsigned
-    sessionSlots() const
-    {
-        return static_cast<unsigned>(contexts_.size());
-    }
-
     /**
      * Start replaying trace @p traceIdx on idle slot @p slot at the
      * current simulated time (fatal if the slot is busy). The same

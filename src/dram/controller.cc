@@ -41,13 +41,13 @@ constexpr std::uint64_t kQueueSampleStride = 64;
 MemController::MemController(sim::EventQueue &eq, const TimingParams &tp,
                              const OrgParams &org, unsigned num_ranks,
                              std::string name)
-    : eq_(eq), tp_(tp), org_(org),
+    : eq_(eq), tp_(tp),
       starvation_limit_(tp.cycles(2000)),
       bankq_track_(std::move(name) + ".bankq")
 {
     ANSMET_CHECK(num_ranks >= 1, "controller needs at least one rank");
     for (unsigned r = 0; r < num_ranks; ++r)
-        ranks_.push_back(std::make_unique<RankDevice>(tp_, org_));
+        ranks_.push_back(std::make_unique<RankDevice>(tp_, org));
 }
 
 void
@@ -66,7 +66,6 @@ MemController::enqueue(unsigned rank, Request req)
     Pending &p = pend_pool_[idx];
     p.rank = rank;
     p.req = std::move(req);
-    p.order = next_order_++;
     queue_.push_back(idx);
     ++transfers_;
     DramMetrics &m = dramMetrics();
@@ -149,7 +148,7 @@ MemController::enqueueBusTransfer(bool is_write, Request::Callback cb)
     scheduleKick(eq_.now());
 }
 
-bool
+void
 MemController::serveBusTransfers(Tick now, Tick before)
 {
     while (!bus_queue_.empty() && bus_queue_.front().arrival <= before) {
@@ -164,7 +163,7 @@ MemController::serveBusTransfers(Tick now, Tick before)
         }
         if (t > now) {
             scheduleKick(t);
-            return true;
+            return;
         }
         const Tick data_end = t + data_latency + tp_.cycles(tp_.tBL);
         ANSMET_DCHECK(t + data_latency >= data_bus_free_at_,
@@ -176,7 +175,6 @@ MemController::serveBusTransfers(Tick now, Tick before)
         bus_queue_.pop_front();
         scheduleCompletion(data_end, std::move(cb));
     }
-    return false;
 }
 
 void
@@ -280,7 +278,7 @@ MemController::kick()
     }
 
     // Bank queue drained: flush any remaining buffer-chip transfers.
-    serveBusTransfers(eq_.now() > now ? eq_.now() : now, kMaxTick);
+    serveBusTransfers(now, kMaxTick);
 }
 
 void

@@ -61,7 +61,6 @@ class MemController
     {
         unsigned rank;
         Request req;
-        std::uint64_t order;
     };
 
     /** The next command a pending request needs, and when it could go. */
@@ -84,9 +83,9 @@ class MemController
         Request::Callback cb;
     };
 
-    /** Serve pending buffer-chip transfers not younger than @p before.
-     *  @return true if the caller should re-kick later (bus busy). */
-    bool serveBusTransfers(Tick now, Tick before);
+    /** Serve pending buffer-chip transfers not younger than @p before;
+     *  schedules its own retry kick when the bus is busy. */
+    void serveBusTransfers(Tick now, Tick before);
 
     /**
      * Fire @p cb at @p when through a pooled completion node: the
@@ -99,7 +98,6 @@ class MemController
 
     sim::EventQueue &eq_;
     TimingParams tp_;
-    OrgParams org_;
     std::vector<std::unique_ptr<RankDevice>> ranks_;
     /** Pending-node pool; queue_ holds pool indices in arrival order. */
     std::vector<Pending> pend_pool_;
@@ -108,7 +106,6 @@ class MemController
     RingDeque<BusTransfer> bus_queue_;
     std::vector<Request::Callback> done_pool_;
     std::vector<std::uint32_t> done_free_;
-    std::uint64_t next_order_ = 0;
 
     Tick cmd_bus_free_at_{};
     Tick data_bus_free_at_{};

@@ -17,7 +17,7 @@ constexpr std::uint64_t kDefaultEventLimit = 2'000'000;
 
 struct Event
 {
-    enum class Type : std::uint8_t { kSpan, kCounter, kInstant, kMeta };
+    enum class Type : std::uint8_t { kSpan, kCounter, kMeta };
     Type type;
     std::string name;
     std::uint32_t pid;
@@ -149,11 +149,11 @@ TraceWriter::instance()
     return *writer;
 }
 
-std::uint32_t
+void
 TraceWriter::beginRun(std::string_view name)
 {
     if (!enabled_)
-        return 0;
+        return;
     Impl &i = impl();
     std::uint32_t pid;
     {
@@ -172,7 +172,6 @@ TraceWriter::beginRun(std::string_view name)
     // slot to avoid widening TraceArg for this one case.
     e.args.back().first = std::string(name);
     i.push(std::move(e));
-    return pid;
 }
 
 void
@@ -210,21 +209,6 @@ TraceWriter::counter(std::string_view name, std::uint32_t tid, Tick when,
     e.tid = tid;
     e.start = when;
     e.value = value;
-    i.push(std::move(e));
-}
-
-void
-TraceWriter::instant(std::string_view name, std::uint32_t tid, Tick when)
-{
-    if (!enabled_)
-        return;
-    Impl &i = impl();
-    Event e;
-    e.type = Event::Type::kInstant;
-    e.name = std::string(name);
-    e.pid = i.pid();
-    e.tid = tid;
-    e.start = when;
     i.push(std::move(e));
 }
 
@@ -284,10 +268,6 @@ TraceWriter::flush()
             out += std::to_string(e.value);
             out += "}";
             break;
-        case Event::Type::kInstant:
-            out += ",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-            appendDouble(out, us(e.start));
-            break;
         case Event::Type::kMeta:
             out += ",\"ph\":\"M\",\"ts\":0,\"args\":{\"name\":";
             appendJsonString(out, e.args.empty() ? std::string_view{}
@@ -310,8 +290,15 @@ TraceWriter::flush()
                      i.path.c_str());
         return;
     }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
+    // Both calls can fail (a full disk shows only at fclose, once the
+    // stdio buffer drains); either loses the trace.
+    const bool written =
+        std::fwrite(out.data(), 1, out.size(), f) == out.size();
+    if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr,
+                     "ansmet: cannot write ANSMET_TRACE path '%s'\n",
+                     i.path.c_str());
+    }
 }
 
 } // namespace ansmet::obs

@@ -54,10 +54,9 @@ class TraceWriter
 
     /**
      * Start a new run scope: subsequent events carry a fresh pid
-     * labelled @p name via process_name metadata. Returns the pid so
-     * nested helpers can stamp events explicitly if needed.
+     * labelled @p name via process_name metadata.
      */
-    std::uint32_t beginRun(std::string_view name);
+    void beginRun(std::string_view name);
 
     /** Complete ("X") span on (current pid, @p tid) covering
      *  [start, end] in simulated time. */
@@ -68,9 +67,6 @@ class TraceWriter
     /** Counter ("C") track sample at @p when. */
     void counter(std::string_view name, std::uint32_t tid, Tick when,
                  std::int64_t value);
-
-    /** Instant ("i") event at @p when. */
-    void instant(std::string_view name, std::uint32_t tid, Tick when);
 
     /** Write the trace file now (also runs automatically at exit).
      *  Idempotent per accumulated state; later events re-flush. */

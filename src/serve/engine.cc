@@ -11,9 +11,23 @@ namespace ansmet::serve {
 namespace {
 
 /**
+ * Priority of arrival events: ahead of every other event of their
+ * tick, all of which run at the default priority 0.
+ *
+ * serve() chains its arrivals (each one schedules the next) so that
+ * one is pending at a time; a whole load point's arrivals (2,400 in
+ * perfbench's serve_sift) queued at tick 0 would sit under every heap
+ * operation of the run. A chained arrival is inserted late, so
+ * insertion order alone would let it lose a same-tick tie it wins
+ * when all arrivals are queued first; -1 keeps it first. Arrivals are
+ * at least one tick apart (loadgen.cc), so two never tie.
+ */
+constexpr sim::Priority kArrivalPriority = -1;
+
+/**
  * Per-serve driver. Lives on the stack of serve() for the duration of
- * the event loop; every callback it schedules is descheduled-by-
- * completion before serve() returns (the loop drains fully).
+ * the event loop; every callback it schedules has run before serve()
+ * returns (the loop drains fully).
  */
 class Driver
 {
@@ -26,13 +40,7 @@ class Driver
           arrivals_(std::move(arrivals))
     {
         sys_.beginSession(traces, adm.maxInFlight());
-        // Open-loop: every arrival is on the calendar before the run
-        // starts; service backlog never delays an arrival.
-        auto &eq = sys_.eventQueue();
-        for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-            eq.schedule(arrivals_[i].at,
-                        [this, i] { onArrival(arrivals_[i]); });
-        }
+        scheduleArrival(0);
     }
 
     void
@@ -48,9 +56,23 @@ class Driver
     }
 
   private:
+    /** Open-loop: arrival @p i's tick is pre-generated, so the chain
+     *  never lets service backlog delay an arrival. */
     void
-    onArrival(const Arrival &a)
+    scheduleArrival(std::size_t i)
     {
+        if (i < arrivals_.size()) {
+            sys_.eventQueue().schedule(
+                arrivals_[i].at, [this, i] { onArrival(i); },
+                kArrivalPriority);
+        }
+    }
+
+    void
+    onArrival(std::size_t i)
+    {
+        scheduleArrival(i + 1);
+        const Arrival &a = arrivals_[i];
         const Tick now = sys_.eventQueue().now();
         // A dropped arrival enqueues nothing, so there is nothing to
         // pump: every slot release already pumps for itself.

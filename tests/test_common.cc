@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for common utilities: bit operations, PRNG, tables,
- * annotated sync primitives, and the discrete-event queue.
+ * tick units, checks, and annotated sync primitives.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "common/prng.h"
 #include "common/sync.h"
 #include "common/table.h"
-#include "sim/event_queue.h"
+#include "common/types.h"
 
 namespace ansmet {
 namespace {
@@ -142,73 +142,6 @@ TEST(Table, Renders)
     EXPECT_NE(s.find("alpha"), std::string::npos);
     EXPECT_NE(s.find("1.5"), std::string::npos);
     EXPECT_NE(s.find("42"), std::string::npos);
-}
-
-TEST(EventQueue, OrdersByTime)
-{
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(Tick{30}, [&] { order.push_back(3); });
-    eq.schedule(Tick{10}, [&] { order.push_back(1); });
-    eq.schedule(Tick{20}, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), Tick{30});
-}
-
-TEST(EventQueue, SameTickPriorityAndFifo)
-{
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(Tick{10}, [&] { order.push_back(2); }, 1);
-    eq.schedule(Tick{10}, [&] { order.push_back(1); }, 0);
-    eq.schedule(Tick{10}, [&] { order.push_back(3); }, 1);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, ScheduledDuringRun)
-{
-    sim::EventQueue eq;
-    int hits = 0;
-    eq.schedule(Tick{5}, [&] {
-        ++hits;
-        eq.scheduleIn(TickDelta{5}, [&] { ++hits; });
-    });
-    eq.run();
-    EXPECT_EQ(hits, 2);
-    EXPECT_EQ(eq.now(), Tick{10});
-}
-
-TEST(EventQueue, Deschedule)
-{
-    sim::EventQueue eq;
-    int hits = 0;
-    const auto id = eq.scheduleCancelable(Tick{5}, [&] { ++hits; });
-    eq.deschedule(id);
-    eq.schedule(Tick{6}, [&] { ++hits; });
-    eq.run();
-    EXPECT_EQ(hits, 1);
-}
-
-TEST(EventQueue, RunLimit)
-{
-    sim::EventQueue eq;
-    int hits = 0;
-    eq.schedule(Tick{5}, [&] { ++hits; });
-    eq.schedule(Tick{50}, [&] { ++hits; });
-    eq.run(Tick{10});
-    EXPECT_EQ(hits, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
-TEST(Clocked, Conversions)
-{
-    sim::EventQueue eq;
-    sim::Clocked c(eq, TickDelta{416});
-    EXPECT_EQ(c.cyclesToTicks(10), TickDelta{4160});
-    EXPECT_EQ(c.ticksToCycles(TickDelta{4160}), 10u);
-    EXPECT_EQ(c.ticksToCycles(TickDelta{4161}), 11u);
 }
 
 // ---------------------------------------------------------------------

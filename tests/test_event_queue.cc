@@ -1,10 +1,9 @@
 /**
  * @file
  * Dedicated event-queue tests: same-timestamp tie-break determinism,
- * the ordering invariants added by the audit layer, cancellation, the
- * Clocked cycle<->tick helpers, randomized ordering parity between the
- * calendar queue and the reference heap queue, calendar-tier crossing
- * cases, deschedule stress, and the InlineFunction callback type.
+ * scheduling from inside callbacks, bounded runs, far-future events,
+ * randomized ordering parity between sim::EventQueue and the reference
+ * heap queue, and the InlineFunction callback type.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +14,14 @@
 
 #include "common/check.h"
 #include "common/prng.h"
+#include "reference_queue.h"
 #include "sim/event_queue.h"
-#include "sim/reference_queue.h"
 
 namespace ansmet::sim {
 namespace {
+
+/** A delta far beyond any the DRAM model schedules. */
+constexpr TickDelta kFar{4'194'304};
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -40,27 +42,37 @@ TEST(EventQueue, SameTickPriorityThenInsertionOrder)
     std::string order;
     // All at tick 100: priority breaks ties first, then insertion
     // order. This exact order is what makes replays bit-identical.
+    // 'a' is scheduled after 'c' and still runs first: serve's chained
+    // arrivals rely on priority -1 winning every same-tick tie. The
+    // range's two ends ('z', '0') hold too.
+    eq.schedule(Tick{100}, [&] { order += 'z'; }, 32767);
     eq.schedule(Tick{100}, [&] { order += 'c'; }, 1);
     eq.schedule(Tick{100}, [&] { order += 'a'; }, -1);
     eq.schedule(Tick{100}, [&] { order += 'd'; }, 1);
     eq.schedule(Tick{100}, [&] { order += 'b'; }, 0);
+    eq.schedule(Tick{100}, [&] { order += '0'; }, -32768);
     eq.run();
-    EXPECT_EQ(order, "abcd");
+    EXPECT_EQ(order, "0abcdz");
 }
 
 TEST(EventQueue, InsertionOrderStableAcrossInterleavedScheduling)
 {
     // Events scheduled from within callbacks still honor (tick, prio,
-    // insertion) ordering relative to already-pending events.
+    // insertion) ordering relative to already-pending events, also
+    // when scheduled at now(): they run after that tick's events
+    // already pending.
     EventQueue eq;
     std::string order;
     eq.schedule(Tick{10}, [&] {
         order += 'a';
         eq.schedule(Tick{20}, [&] { order += 'x'; });
+        eq.scheduleIn(TickDelta{}, [&] { order += 'n'; });
     });
+    eq.schedule(Tick{10}, [&] { order += 'm'; });
     eq.schedule(Tick{20}, [&] { order += 'b'; });
     eq.run();
-    EXPECT_EQ(order, "abx");
+    EXPECT_EQ(order, "amnbx");
+    EXPECT_EQ(eq.now(), Tick{20});
 }
 
 TEST(EventQueue, SchedulingInThePastPanics)
@@ -73,54 +85,14 @@ TEST(EventQueue, SchedulingInThePastPanics)
     EXPECT_DEATH(eq.schedule(Tick{10}, [] {}), "scheduling in the past");
 }
 
-TEST(EventQueue, DescheduleUnknownHandleDies)
+TEST(EventQueue, PriorityOutOfRangePanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    setAuditEnabled(true);
     EventQueue eq;
-    eq.schedule(Tick{5}, [] {});
-    EXPECT_DEATH(eq.deschedule(7), "unknown handle");
-    setAuditEnabled(false);
-}
-
-TEST(EventQueue, DeschedulePreventsExecution)
-{
-    EventQueue eq;
-    bool ran = false;
-    const auto id = eq.scheduleCancelable(Tick{10}, [&] { ran = true; });
-    eq.schedule(Tick{5}, [&, id] { eq.deschedule(id); });
-    eq.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.now(), Tick{5});
-}
-
-TEST(EventQueue, StepExecutesExactlyOne)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.schedule(Tick{1}, [&] { ++count; });
-    eq.schedule(Tick{2}, [&] { ++count; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(eq.now(), Tick{1});
-    EXPECT_TRUE(eq.step());
-    EXPECT_FALSE(eq.step());
-    EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, ResetRestartsClock)
-{
-    EventQueue eq;
-    eq.schedule(Tick{42}, [] {});
-    eq.run();
-    eq.reset();
-    EXPECT_EQ(eq.now(), Tick{});
-    EXPECT_EQ(eq.pending(), 0u);
-    // Post-reset, early ticks are schedulable again.
-    bool ran = false;
-    eq.schedule(Tick{1}, [&] { ran = true; });
-    eq.run();
-    EXPECT_TRUE(ran);
+    EXPECT_DEATH(eq.schedule(Tick{1}, [] {}, 32768),
+                 "event priority out of range");
+    EXPECT_DEATH(eq.schedule(Tick{1}, [] {}, -32769),
+                 "event priority out of range");
 }
 
 TEST(EventQueue, RunHonorsLimit)
@@ -136,14 +108,13 @@ TEST(EventQueue, RunHonorsLimit)
     EXPECT_EQ(count, 2);
 }
 
-TEST(EventQueue, OverflowTierCrossingsExecuteInOrder)
+TEST(EventQueue, FarFutureEventsExecuteInOrder)
 {
-    // Events several horizons out sit in the overflow heap and must
-    // migrate into the calendar (and execute in order) as the current
-    // day repeatedly jumps past the ring's reach.
+    // Events millions of ticks apart, scheduled out of order, execute
+    // in tick order and leave the clock on the last one.
     EventQueue eq;
     std::vector<int> seen;
-    const TickDelta stride = EventQueue::kHorizonTicks + TickDelta{7};
+    const TickDelta stride = kFar + TickDelta{7};
     for (const int i : {4, 1, 5, 2, 3}) {
         eq.schedule(Tick{} + static_cast<std::uint64_t>(i) * stride,
                     [&seen, i] { seen.push_back(i); });
@@ -156,16 +127,15 @@ TEST(EventQueue, OverflowTierCrossingsExecuteInOrder)
 
 TEST(EventQueue, FarFutureSameTickTiesKeepPriorityAndInsertionOrder)
 {
-    // Three events land on one far-future tick via different routes:
-    // two through the overflow tier at schedule time, one through the
-    // ring after the calendar has advanced. (tick, prio, insertion)
-    // order must hold regardless of the tier each traversed.
+    // Three events land on one far-future tick: two scheduled from
+    // tick 0, one from a callback millions of ticks later. (tick,
+    // prio, insertion) order must hold however far ahead each was
+    // scheduled.
     EventQueue eq;
     std::string order;
-    const Tick far = Tick{} + 2 * EventQueue::kHorizonTicks +
-                     TickDelta{12345};
+    const Tick far = Tick{} + 2 * kFar + TickDelta{12345};
     eq.schedule(far, [&order] { order += 'a'; });
-    eq.schedule(Tick{} + EventQueue::kHorizonTicks + TickDelta{5},
+    eq.schedule(Tick{} + kFar + TickDelta{5},
                 [&eq, &order, far] {
         order += 'x';
         eq.schedule(far, [&order] { order += 'c'; }, 1);
@@ -173,57 +143,6 @@ TEST(EventQueue, FarFutureSameTickTiesKeepPriorityAndInsertionOrder)
     eq.schedule(far, [&order] { order += 'b'; });
     eq.run();
     EXPECT_EQ(order, "xabc");
-}
-
-TEST(EventQueue, DescheduleStressReleasesPendingImmediately)
-{
-    // Regression for the pre-overhaul queue, whose cancelled list grew
-    // without bound until the victim reached the heap top: descheduling
-    // must shrink pending() right away and release the slots.
-    EventQueue eq;
-    constexpr std::size_t kN = 200000;
-    std::size_t executed = 0;
-    std::vector<std::uint64_t> ids;
-    ids.reserve(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-        ids.push_back(eq.scheduleCancelable(Tick{1 + (i % 1000) * 100},
-                                  [&executed] { ++executed; }));
-    }
-    ASSERT_EQ(eq.pending(), kN);
-    for (std::size_t i = 0; i < kN; i += 2)
-        eq.deschedule(ids[i]);
-    EXPECT_EQ(eq.pending(), kN / 2);
-    eq.run();
-    EXPECT_EQ(executed, kN / 2);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, DoubleDescheduleCountsOnce)
-{
-    EventQueue eq;
-    bool ran = false;
-    eq.schedule(Tick{1}, [&ran] { ran = true; });
-    const auto id = eq.scheduleCancelable(Tick{2}, [] {});
-    eq.deschedule(id);
-    eq.deschedule(id); // second cancel of the same handle: no-op
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_TRUE(ran);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, StaleHandleAfterExecutionIsANoOp)
-{
-    EventQueue eq;
-    const auto stale = eq.scheduleCancelable(Tick{1}, [] {});
-    eq.run();
-    // The next schedule reuses the released slot; the old handle's
-    // generation no longer matches and must not cancel it.
-    bool ran = false;
-    eq.schedule(Tick{2}, [&ran] { ran = true; });
-    eq.deschedule(stale);
-    eq.run();
-    EXPECT_TRUE(ran);
 }
 
 /**
@@ -238,7 +157,6 @@ struct ParityDriver
     Queue q;
     Prng rng;
     std::vector<unsigned> log;
-    std::vector<std::uint64_t> handles;
     unsigned scheduled = 0;
     unsigned budget;
 
@@ -254,12 +172,11 @@ struct ParityDriver
           case 0:
             return TickDelta{rng.below(4)}; // same-tick collisions
           case 1:
-            return TickDelta{rng.below(2000)}; // current/next day
+            return TickDelta{rng.below(2000)}; // DRAM timing scale
           case 2:
-            return TickDelta{rng.below(100000)}; // calendar ring
-          default: // overflow tier
-            return EventQueue::kHorizonTicks +
-                   TickDelta{rng.below(1u << 20)};
+            return TickDelta{rng.below(100000)}; // queueing scale
+          default: // far future
+            return kFar + TickDelta{rng.below(1u << 20)};
         }
     }
 
@@ -269,8 +186,8 @@ struct ParityDriver
         const unsigned label = scheduled++;
         const TickDelta delta = draw();
         const int prio = static_cast<int>(rng.below(3)) - 1;
-        handles.push_back(q.scheduleInCancelable(
-            delta, [this, label] { fire(label); }, prio));
+        q.schedule(q.now() + delta, [this, label] { fire(label); },
+                   prio);
     }
 
     void
@@ -282,10 +199,6 @@ struct ParityDriver
             if (rng.below(2) != 0 && scheduled < budget)
                 spawn();
         }
-        // Cancel a random earlier event: executed handles are benign
-        // no-ops in both implementations.
-        if (!handles.empty() && rng.below(4) == 0)
-            q.deschedule(handles[rng.below(handles.size())]);
     }
 
     void
@@ -299,13 +212,12 @@ struct ParityDriver
 
 TEST(EventQueue, OrderingParityWithReferenceQueue)
 {
-    // The calendar queue must execute randomized schedules in exactly
-    // the order of the executable spec (sim/reference_queue.h),
-    // including same-tick priority/insertion ties, mid-run cancels,
-    // and overflow-tier crossings.
+    // The queue must execute randomized schedules in exactly the order
+    // of the executable spec (reference_queue.h), including same-tick
+    // priority/insertion ties and far-future events.
     for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
         ParityDriver<EventQueue> opt(seed, 4000);
-        ParityDriver<ReferenceEventQueue> ref(seed, 4000);
+        ParityDriver<test::ReferenceEventQueue> ref(seed, 4000);
         opt.run();
         ref.run();
         ASSERT_EQ(opt.log.size(), ref.log.size()) << "seed " << seed;
@@ -357,28 +269,6 @@ TEST(InlineFunction, DestroysCaptureExactlyOnce)
         EXPECT_EQ(token.use_count(), 1);
     }
     EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(Clocked, ConversionsAndEdges)
-{
-    EventQueue eq;
-    Clocked c(eq, TickDelta{833}); // ~1.2 GHz in ps
-    EXPECT_EQ(c.cyclesToTicks(0), TickDelta{});
-    EXPECT_EQ(c.cyclesToTicks(3), TickDelta{2499});
-    EXPECT_EQ(c.ticksToCycles(TickDelta{1}), 1u);
-    EXPECT_EQ(c.ticksToCycles(TickDelta{833}), 1u);
-    EXPECT_EQ(c.ticksToCycles(TickDelta{834}), 2u);
-    EXPECT_EQ(c.nextEdge(), Tick{});
-    eq.schedule(Tick{1}, [] {});
-    eq.run();
-    EXPECT_EQ(c.nextEdge(), Tick{833});
-}
-
-TEST(Clocked, ZeroPeriodPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EventQueue eq;
-    EXPECT_DEATH(Clocked(eq, TickDelta{0}), "zero period");
 }
 
 } // namespace

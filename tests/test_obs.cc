@@ -2,7 +2,8 @@
  * @file
  * Observability-layer tests: registry semantics (counters, gauges,
  * histograms, shard merging across threads), snapshot JSON shape, and
- * the Chrome-trace writer's off-by-default behaviour.
+ * the Chrome-trace writer's off-by-default behaviour and write-error
+ * report.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -256,9 +259,29 @@ TEST(TraceWriterTest, DisabledWithoutEnv)
     tw.beginRun("test-run");
     tw.span("noop", 0, Tick{}, Tick{10});
     tw.counter("noop", 0, Tick{}, 1);
-    tw.instant("noop", 0, Tick{});
     tw.flush();
     EXPECT_EQ(tw.dropped(), 0u);
+}
+
+TEST(TraceWriterDeathTest, FailedWriteIsReported)
+{
+    // /dev/full opens fine and fails every write: the trace is lost,
+    // and flush() must say so instead of passing silently.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            // The child is a fresh process, so this is the singleton's
+            // first use: it reads ANSMET_TRACE here.
+            ::setenv("ANSMET_TRACE", "/dev/full", 1);
+            auto &tw = TraceWriter::instance();
+            tw.span("query", 0, Tick{}, Tick{10});
+            tw.flush();
+            std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(0),
+        "ansmet: cannot write ANSMET_TRACE path '/dev/full'");
 }
 
 } // namespace

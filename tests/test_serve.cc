@@ -338,19 +338,20 @@ world()
 }
 
 serve::ServeConfig
-serveCfg(double qps, std::uint64_t n = 64)
+serveCfg(double qps, std::uint64_t n, std::uint64_t seed)
 {
     serve::ServeConfig cfg;
     cfg.load.offeredQps = qps;
     cfg.load.numQueries = n;
     cfg.load.zipfAlpha = 1.3;
-    cfg.load.seed = envSeed();
+    cfg.load.seed = seed;
     cfg.queueCapacity = 32;
     return cfg;
 }
 
 serve::ServeReport
-runServe(double qps, bool prefetch = true, std::uint64_t n = 64)
+runServe(double qps, bool prefetch = true, std::uint64_t n = 64,
+         std::uint64_t seed = envSeed())
 {
     const ServeWorld &w = world();
     core::SystemConfig cfg;
@@ -358,7 +359,7 @@ runServe(double qps, bool prefetch = true, std::uint64_t n = 64)
     cfg.prefetchReplay = prefetch;
     core::SystemModel model(cfg, *w.ds.base, w.ds.metric(), &w.profile,
                             w.hot);
-    return serve::serve(model, w.traces, serveCfg(qps, n));
+    return serve::serve(model, w.traces, serveCfg(qps, n, seed));
 }
 
 void
@@ -381,6 +382,62 @@ expectBitwiseEqual(const serve::ServeReport &a, const serve::ServeReport &b)
         const auto ph = static_cast<serve::Phase>(p);
         ASSERT_EQ(a.latency.samples(ph), b.latency.samples(ph))
             << serve::phaseName(ph);
+    }
+}
+
+/**
+ * 64-bit FNV-1a over every per-query outcome (id, trace index, queue
+ * wait, start, end, in completion order) and every latency sample.
+ */
+std::uint64_t
+reportHash(const serve::ServeReport &r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto &q : r.queries) {
+        mix(q.queryId);
+        mix(q.traceIdx);
+        mix(q.queueWait.raw());
+        mix(q.stats.start.raw());
+        mix(q.stats.end.raw());
+    }
+    for (unsigned p = 0; p < serve::kNumPhases; ++p) {
+        for (const std::uint64_t v :
+             r.latency.samples(static_cast<serve::Phase>(p)))
+            mix(v);
+    }
+    return h;
+}
+
+TEST(Serve, ReportIsPinned)
+{
+    // Hashes recorded at commit 8a2bf6b, which queued every arrival at
+    // tick 0 before the run: the chained arrivals must reproduce that
+    // event order exactly, at a load under capacity (nothing dropped)
+    // and one above it (drops). The seed is fixed, not ANSMET_SEED.
+    // Dataset and graph generation call libm, so, like the golden
+    // figures, the hashes are pinned to the toolchain.
+    struct Point
+    {
+        double qps;
+        std::uint64_t queries;
+        std::uint64_t hash;
+    };
+    // Capacity is about 1.6M QPS.
+    const Point points[] = {
+        {200000.0, 64, 0xb7762b6f8f83ecf5ull},
+        {4.0e6, 256, 0x698067c0af8546f2ull},
+    };
+    for (const Point &pt : points) {
+        const auto r = runServe(pt.qps, true, pt.queries, /*seed=*/1);
+        EXPECT_EQ(r.dropped == 0, pt.qps < 1.6e6) << pt.qps;
+        EXPECT_EQ(reportHash(r), pt.hash)
+            << pt.qps << " QPS: got 0x" << std::hex << reportHash(r);
     }
 }
 

@@ -154,8 +154,7 @@ THREAD_EXEMPT_DIRS = ("src/common/runtime",)
 # simulated hot path.
 SIM_HOT_DIRS = ("src/sim", "src/ndp", "src/dram", "src/cpu", "src/core",
                 "src/cache")
-SCHEDULE_CALLS = ("schedule", "scheduleIn", "scheduleCancelable",
-                  "scheduleInCancelable")
+SCHEDULE_CALLS = ("schedule", "scheduleIn")
 
 # R8: struct fields holding completion callbacks that outlive the
 # assigning frame (dram::Request::onComplete, ndp::NdpTask::onComplete).

@@ -16,12 +16,10 @@ Five modes, stdlib only:
       tools/bench_diff.py --speedup BENCH_kernels.json \
           [--min-ratio R --require NAME]...
 
-    Tiered benchmarks are named  <family>/<tier>. Two tier groups:
-    SIMD kernels use scalar | avx2 | avx512 (baseline: scalar, e.g.
-    kernel_l2_batch/fp32/avx2), and simulator macro-benchmarks use
-    ref | opt (baseline: ref, e.g. sim_queue/replay/opt). For every
-    non-baseline entry whose baseline sibling exists, prints the ratio
-    baseline_time / tier_time. Each --require NAME (full benchmark
+    Tiered benchmarks are named  <family>/<tier>, with tier scalar |
+    avx2 | avx512 (e.g. kernel_l2_batch/fp32/avx2). For every
+    non-scalar entry whose scalar sibling exists, prints the ratio
+    scalar_time / tier_time. Each --require NAME (full benchmark
     name) must be present and meet --min-ratio, otherwise exit 1 --
     this is the CI perf-smoke assertion.
 
@@ -80,7 +78,7 @@ import os
 import statistics
 import sys
 
-TIERS = ("scalar", "avx2", "avx512", "ref", "opt")
+TIERS = ("scalar", "avx2", "avx512")
 
 SERVE_SCHEMA = "ansmet-serve-v1"
 
@@ -93,9 +91,8 @@ TAIL_QUANTILES = ("p50", "p99", "p999", "max", "mean")
 # quantiles: name -> comparison direction.
 TAIL_COUNTERS = {"dropped": "<=", "completed": ">="}
 
-# Tiers that serve as the denominator of a speedup ratio; a measured
-# entry's baseline sibling is looked up in this order.
-BASELINE_TIERS = ("scalar", "ref")
+# The tier that serves as the denominator of a speedup ratio.
+BASELINE_TIER = "scalar"
 
 # perfbench's runner, whose host-speed scaling baseline mode reuses.
 PERFBENCH_RUN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -421,11 +418,9 @@ def run_speedup(args):
     ratios = {}
     for name, t in sorted(times.items()):
         parts = split_tier(name)
-        if parts is None or parts[1] in BASELINE_TIERS:
+        if parts is None or parts[1] == BASELINE_TIER:
             continue
-        family, tier = parts
-        base_time = next((times[f"{family}/{b}"] for b in BASELINE_TIERS
-                          if f"{family}/{b}" in times), None)
+        base_time = times.get(f"{parts[0]}/{BASELINE_TIER}")
         if base_time is None or t <= 0.0:
             continue
         ratios[name] = base_time / t

@@ -154,28 +154,16 @@ class SpeedupMode(TempFiles):
         self.assertEqual(r.returncode, 0)
         self.assertIn("4.00x", r.stdout)
 
-    def test_ref_opt_tier_pairs_against_ref(self):
-        f = self.write("s.json", bench_json([
-            ("sim_queue/replay/ref", 300.0),
-            ("sim_queue/replay/opt", 100.0),
-            ("sim_replay/fig06_ndp/opt", 50.0),  # no ref sibling
-        ]))
-        r = run_tool("--speedup", f, "--min-ratio", "2.0",
-                     "--require", "sim_queue/replay/opt")
-        self.assertEqual(r.returncode, 0)
-        self.assertIn("3.00x", r.stdout)
-        self.assertNotIn("fig06_ndp", r.stdout)
-
-    def test_scalar_baseline_wins_over_ref(self):
-        # A family carrying both baselines pairs against scalar.
-        f = self.write("m.json", bench_json([
-            ("x/scalar", 400.0),
-            ("x/ref", 200.0),
-            ("x/opt", 100.0),
+    def test_entry_without_scalar_sibling_is_skipped(self):
+        f = self.write("k.json", bench_json([
+            ("kernel_l2/fp32/scalar", 300.0),
+            ("kernel_l2/fp32/avx512", 100.0),
+            ("kernel_ip/fp32/avx512", 50.0),  # no scalar sibling
         ]))
         r = run_tool("--speedup", f)
         self.assertEqual(r.returncode, 0)
-        self.assertIn("4.00x", r.stdout)
+        self.assertIn("3.00x", r.stdout)
+        self.assertNotIn("kernel_ip", r.stdout)
 
     def test_require_below_ratio_fails(self):
         f = self.write("k.json", bench_json([
