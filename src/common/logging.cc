@@ -12,26 +12,10 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::abort();
 }
 
-[[noreturn]] void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    // A racing second fatal path at worst double-runs atexit handlers.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): terminating on a fatal error.
-    std::exit(1);
-}
-
 void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-    std::fflush(stdout);
 }
 
 } // namespace detail

@@ -1,11 +1,9 @@
 /**
  * @file
- * Error and status reporting helpers in the gem5 tradition.
+ * Error reporting helpers in the gem5 tradition.
  *
- * panic()  — an internal invariant was violated (simulator bug); aborts.
- * fatal()  — the user asked for something impossible (bad config); exits.
- * warn()   — something is suspicious but the run can continue.
- * inform() — plain status output.
+ * panic() — an internal invariant was violated (simulator bug); aborts.
+ * warn()  — something is suspicious but the run can continue.
  */
 
 #ifndef ANSMET_COMMON_LOGGING_H
@@ -33,9 +31,7 @@ concat(Args &&...args)
 }
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -43,15 +39,8 @@ void informImpl(const std::string &msg);
     ::ansmet::detail::panicImpl(__FILE__, __LINE__, \
                                 ::ansmet::detail::concat(__VA_ARGS__))
 
-#define ANSMET_FATAL(...) \
-    ::ansmet::detail::fatalImpl(__FILE__, __LINE__, \
-                                ::ansmet::detail::concat(__VA_ARGS__))
-
 #define ANSMET_WARN(...) \
     ::ansmet::detail::warnImpl(::ansmet::detail::concat(__VA_ARGS__))
-
-#define ANSMET_INFORM(...) \
-    ::ansmet::detail::informImpl(::ansmet::detail::concat(__VA_ARGS__))
 
 } // namespace ansmet
 

@@ -148,7 +148,6 @@ class CondVar
         lk.release();
     }
 
-    void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
 
   private:

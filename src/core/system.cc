@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/runtime/runtime.h"
 #include "ndp/instr.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ansmet::core {
@@ -18,30 +17,6 @@ constexpr Addr kVectorRegion = 0;
 constexpr Addr kIndexRegion = Addr{1} << 38;
 constexpr Addr kCentroidRegion = Addr{1} << 39;
 constexpr Addr kIndexStride = 4096;
-
-/** Replay-level metrics; see DESIGN.md "Observability layer". */
-struct ReplayMetrics
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Counter queries = reg.counter("replay.queries");
-    obs::Counter steps = reg.counter("replay.steps");
-    obs::Counter comparisons = reg.counter("replay.comparisons");
-    obs::Counter terminated = reg.counter("replay.et_terminations");
-    obs::Counter linesEffectual = reg.counter("replay.lines_effectual");
-    obs::Counter linesIneffectual =
-        reg.counter("replay.lines_ineffectual");
-    obs::Counter backupLines = reg.counter("replay.backup_lines");
-    obs::Counter polls = reg.counter("replay.polls");
-    obs::Histogram queryLatency =
-        reg.histogram("replay.query_latency_ps", 48);
-};
-
-ReplayMetrics &
-replayMetrics()
-{
-    static ReplayMetrics m;
-    return m;
-}
 
 } // namespace
 
@@ -401,7 +376,6 @@ class SystemModel::QueryContext
         ANSMET_CHECK(!poll_targets_.empty());
         poll_inflight_ = static_cast<unsigned>(poll_targets_.size());
         stats_.polls += poll_inflight_;
-        replayMetrics().polls.add(poll_inflight_);
         for (const unsigned unit : poll_targets_) {
             sys_.hostCpu_->channel(sys_.channelOf(unit))
                 .enqueueBusTransfer(false, [this, unit](Tick) {
@@ -469,20 +443,13 @@ class SystemModel::QueryContext
     accountFetch(const CompareTask &t, unsigned lines, bool terminated,
                  unsigned backup_lines)
     {
-        ReplayMetrics &m = replayMetrics();
-        if (t.accepted) {
+        if (t.accepted)
             stats_.linesEffectual += lines;
-            m.linesEffectual.add(lines);
-        } else {
+        else
             stats_.linesIneffectual += lines;
-            m.linesIneffectual.add(lines);
-        }
         stats_.backupLines += backup_lines;
-        m.backupLines.add(backup_lines);
-        if (terminated) {
+        if (terminated)
             ++stats_.terminated;
-            m.terminated.inc();
-        }
     }
 
     void
@@ -492,8 +459,6 @@ class SystemModel::QueryContext
         stats_.comparisons += s.tasks.size();
         for (const auto &t : s.tasks)
             stats_.accepted += t.accepted ? 1 : 0;
-        replayMetrics().steps.inc();
-        replayMetrics().comparisons.add(s.tasks.size());
 
         const Tick heap_start = sys_.eq_.now();
         const std::uint64_t cycles =
@@ -512,10 +477,6 @@ class SystemModel::QueryContext
     finishQuery()
     {
         stats_.end = sys_.eq_.now();
-        ReplayMetrics &m = replayMetrics();
-        m.queries.inc();
-        m.queryLatency.sample(
-            static_cast<double>((stats_.end - stats_.start).raw()));
         auto &tw = obs::TraceWriter::instance();
         if (tw.enabled()) {
             const obs::TraceArg args[] = {

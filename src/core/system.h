@@ -98,17 +98,6 @@ struct RunStats
                (static_cast<double>(makespan.raw()) * 1e-12);
     }
 
-    TickDelta
-    meanLatency() const
-    {
-        if (queries.empty())
-            return TickDelta{};
-        TickDelta sum{};
-        for (const auto &q : queries)
-            sum += q.latency();
-        return sum / queries.size();
-    }
-
     std::uint64_t
     totalLines() const
     {

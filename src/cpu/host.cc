@@ -10,8 +10,6 @@ namespace {
 struct HostMetrics
 {
     obs::Registry &reg = obs::Registry::instance();
-    obs::Counter computeCycles = reg.counter("host.compute_cycles");
-    obs::Counter linesRead = reg.counter("host.lines_read");
     obs::Counter cacheHits = reg.counter("host.cache_hits");
     obs::Counter cacheMisses = reg.counter("host.cache_misses");
 };
@@ -42,7 +40,6 @@ HostCpu::compute(std::uint64_t cycles, Callback done)
 {
     const TickDelta ticks = cycles * hp_.period();
     compute_busy_ += ticks;
-    hostMetrics().computeCycles.add(cycles);
     eq_.scheduleIn(ticks, std::move(done));
 }
 
@@ -120,7 +117,6 @@ HostCpu::read(Addr addr, unsigned lines, Callback done)
         channels_[m.channel]->enqueue(m.rank, std::move(req));
     }
     HostMetrics &hm = hostMetrics();
-    hm.linesRead.add(lines);
     hm.cacheHits.add(hits);
     hm.cacheMisses.add(lines - hits);
 }

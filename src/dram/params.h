@@ -60,14 +60,6 @@ struct OrgParams
 
     unsigned ranksPerChannel() const { return dimmsPerChannel * ranksPerDimm; }
     unsigned banksPerRank() const { return bankGroups * banksPerGroup; }
-    unsigned totalRanks() const { return channels * ranksPerChannel(); }
-
-    /** Bytes addressable in one rank. */
-    std::uint64_t
-    rankBytes() const
-    {
-        return std::uint64_t{banksPerRank()} * rows * columns * kLineBytes;
-    }
 };
 
 /**

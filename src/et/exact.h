@@ -27,15 +27,6 @@ struct ExactScanStats
     std::uint64_t linesFetched = 0;
     std::uint64_t linesFull = 0; //!< what a plain scan would fetch
     std::uint64_t terminated = 0;
-
-    double
-    savedFraction() const
-    {
-        if (linesFull == 0)
-            return 0.0;
-        return 1.0 - static_cast<double>(linesFetched) /
-                         static_cast<double>(linesFull);
-    }
 };
 
 /**

@@ -105,16 +105,6 @@ class FetchSimulator
     /** Lines per vector when nothing terminates (layout size). */
     unsigned fullLines() const { return plan_.totalLines(); }
 
-    /** Lines of one uncompressed backup vector. */
-    unsigned
-    backupVectorLines() const
-    {
-        return static_cast<unsigned>(
-            divCeil(static_cast<std::uint64_t>(vs_.dims()) *
-                        keyBits(vs_.type()),
-                    512));
-    }
-
     /** Prefix-elimination state (kOpt only). */
     const PrefixElimination *prefixElimination() const { return pe_.get(); }
 

@@ -10,15 +10,6 @@
 
 namespace ansmet::et {
 
-double
-EtProfile::expectedFetchLines() const
-{
-    double e = 0.0;
-    for (std::size_t i = 0; i < fetchCountDist.size(); ++i)
-        e += fetchCountDist[i] * static_cast<double>(i);
-    return e;
-}
-
 namespace {
 
 /** Sample pairwise distances; return the percentile threshold. */
@@ -72,39 +63,6 @@ etPosition(ScalarType type, unsigned d, anns::Metric metric, const float *q,
 }
 
 } // namespace
-
-std::uint64_t
-accessCostLines(unsigned p_et, unsigned key_width, unsigned prefix_len,
-                unsigned dims, const DualParams &dp)
-{
-    const unsigned payload = key_width - prefix_len;
-    const std::uint64_t mc = 512 / dp.nc;
-    const std::uint64_t mf = 512 / dp.nf;
-    const std::uint64_t lines_c = divCeil(dims, mc);
-    const std::uint64_t lines_f = divCeil(dims, mf);
-
-    const unsigned coarse_bits = std::min(dp.nc * dp.tc, payload);
-    const unsigned fine_bits = payload - coarse_bits;
-    const std::uint64_t full_cost =
-        lines_c * divCeil(coarse_bits, dp.nc) +
-        lines_f * divCeil(fine_bits, dp.nf);
-
-    if (p_et > key_width)
-        return full_cost; // never terminates: fetch everything
-
-    // Bits needed beyond the eliminated prefix (at least one step).
-    const unsigned need =
-        p_et > prefix_len ? p_et - prefix_len : 1;
-
-    if (need <= coarse_bits) {
-        return std::min<std::uint64_t>(lines_c * divCeil(need, dp.nc),
-                                       full_cost);
-    }
-    const std::uint64_t cost =
-        lines_c * divCeil(coarse_bits, dp.nc) +
-        lines_f * divCeil(need - coarse_bits, dp.nf);
-    return std::min(cost, full_cost);
-}
 
 std::uint64_t
 planCostLines(const FetchPlanSpec &plan, unsigned p_et, unsigned key_width)

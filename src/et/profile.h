@@ -60,9 +60,6 @@ struct EtProfile
     /** P(comparison fetches i 64 B lines) under the ETOpt plan. */
     std::vector<double> fetchCountDist;
 
-    /** Expected lines per comparison (for adaptive polling). */
-    double expectedFetchLines() const;
-
     bool operator==(const EtProfile &) const = default;
 };
 
@@ -101,22 +98,12 @@ EtProfile buildProfile(const anns::VectorSet &vs, anns::Metric metric,
 
 /**
  * Grid-search (nC, TC, nF) minimizing the summed access cost of the
- * sampled ET positions under the paper's cost formula (Section 4.2),
- * for a given eliminated-prefix length.
+ * sampled ET positions (the paper's cost model, Section 4.2, counted
+ * exactly by planCostLines()), for a given eliminated-prefix length.
  */
 DualParams optimizeDual(const std::vector<unsigned> &et_positions,
                         unsigned key_width, unsigned prefix_len,
                         unsigned dims);
-
-/**
- * The paper's closed-form access-cost model: 64 B lines fetched before
- * the comparison at key-bit position @p p_et terminates (or
- * completes). Ignores the OlElm bitmap bit; the optimizer uses the
- * exact planCostLines() below.
- */
-std::uint64_t accessCostLines(unsigned p_et, unsigned key_width,
-                              unsigned prefix_len, unsigned dims,
-                              const DualParams &dp);
 
 /**
  * Exact per-plan cost: lines fetched until the plan's known bits reach

@@ -11,11 +11,11 @@
 
 namespace ansmet::obs {
 
-namespace {
+namespace detail {
 
-/** Formats without locale interference (metrics names are ASCII). */
+/** Formats without locale interference. */
 void
-appendJsonString(std::string &out, const std::string &s)
+appendJsonString(std::string &out, std::string_view s)
 {
     out += '"';
     for (char c : s) {
@@ -37,7 +37,7 @@ appendJsonString(std::string &out, const std::string &s)
     out += '"';
 }
 
-} // namespace
+} // namespace detail
 
 std::string
 Snapshot::toJson() const
@@ -47,18 +47,7 @@ Snapshot::toJson() const
     for (const auto &[name, v] : counters) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendJsonString(out, name);
-        out += ": ";
-        out += std::to_string(v);
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    out += "  \"gauges\": {";
-    first = true;
-    for (const auto &[name, v] : gauges) {
-        out += first ? "\n    " : ",\n    ";
-        first = false;
-        appendJsonString(out, name);
+        detail::appendJsonString(out, name);
         out += ": ";
         out += std::to_string(v);
     }
@@ -69,7 +58,7 @@ Snapshot::toJson() const
     for (const auto &[name, h] : histograms) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendJsonString(out, name);
+        detail::appendJsonString(out, name);
         out += ": {\"count\": ";
         out += std::to_string(h.count);
         out += ", \"sum\": ";
@@ -113,12 +102,6 @@ struct Registry::Impl
     mutable Mutex mu;
     std::unordered_map<std::string, MetricInfo> metrics
         ANSMET_GUARDED_BY(mu);
-    // Gauge cells are individually heap-owned atomics: the map is
-    // guarded, but a handle's pointer into it escapes the lock on
-    // purpose (relaxed last-writer-wins set/add, no merging).
-    std::unordered_map<std::string,
-                       std::unique_ptr<std::atomic<std::int64_t>>>
-        gauges ANSMET_GUARDED_BY(mu);
     std::vector<std::unique_ptr<detail::Shard>> shards
         ANSMET_GUARDED_BY(mu);
     std::uint32_t nextSlot ANSMET_GUARDED_BY(mu) = 0;
@@ -185,17 +168,6 @@ Counter
 Registry::counter(std::string_view name)
 {
     return Counter(impl().allocate(name, Kind::kCounter, 1, 0));
-}
-
-Gauge
-Registry::gauge(std::string_view name)
-{
-    Impl &i = impl();
-    MutexLock lock(i.mu);
-    auto &cell = i.gauges[std::string(name)];
-    if (!cell)
-        cell = std::make_unique<std::atomic<std::int64_t>>(0);
-    return Gauge(cell.get());
 }
 
 Histogram
@@ -267,8 +239,6 @@ Registry::snapshot() const
             snap.histograms[name] = std::move(h);
         }
     }
-    for (const auto &[name, cell] : i.gauges)
-        snap.gauges[name] = cell->load(std::memory_order_relaxed);
     return snap;
 }
 
@@ -286,8 +256,6 @@ Registry::reset()
     for (const auto &shard : i.shards)
         for (auto &slot : shard->slots)
             slot.store(0, std::memory_order_relaxed);
-    for (const auto &[name, cell] : i.gauges)
-        cell->store(0, std::memory_order_relaxed);
 }
 
 } // namespace ansmet::obs

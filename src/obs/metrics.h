@@ -1,7 +1,8 @@
 /**
  * @file
- * Low-overhead metrics registry: process-wide named counters, gauges,
- * and fixed-bucket (log2) histograms.
+ * Low-overhead metrics registry: process-wide named counters and
+ * fixed-bucket (log2) histograms of component internals that no
+ * per-run record (RunStats, ServeReport) holds.
  *
  * Design constraints (see DESIGN.md, "Observability layer"):
  *  - recording on a hot path is one relaxed atomic add into a
@@ -78,7 +79,6 @@ struct HistogramData
 struct Snapshot
 {
     std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
     std::map<std::string, HistogramData> histograms;
 
     /** Stable, machine-readable JSON rendering. */
@@ -106,6 +106,9 @@ struct Shard
     // atomic on its own), so the common hot path stays a single RMW.
     std::atomic<std::uint64_t> epoch{0};
 };
+
+/** Append @p s to @p out as a quoted, escaped JSON string. */
+void appendJsonString(std::string &out, std::string_view s);
 
 /** Allocate this thread's shard and register it (metrics.cc). */
 Shard &newShard();
@@ -137,38 +140,6 @@ class Counter
     friend class Registry;
     explicit Counter(std::uint32_t slot) : slot_(slot) {}
     std::uint32_t slot_ = 0;
-};
-
-/**
- * Last-value metric (queue depths, configuration echoes). Stored as a
- * single registry-owned atomic: set/add are rare relative to counter
- * traffic and need cross-thread last-writer semantics, not merging.
- * relaxed: a gauge value orders nothing else; last-writer-wins with
- * atomicity is the whole contract.
- */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void
-    set(std::int64_t v)
-    {
-        if (cell_)
-            cell_->store(v, std::memory_order_relaxed);
-    }
-
-    void
-    add(std::int64_t d)
-    {
-        if (cell_)
-            cell_->fetch_add(d, std::memory_order_relaxed);
-    }
-
-  private:
-    friend class Registry;
-    explicit Gauge(std::atomic<std::int64_t> *cell) : cell_(cell) {}
-    std::atomic<std::int64_t> *cell_ = nullptr;
 };
 
 /** Fixed-bucket log2 histogram (per-thread sharded). */
@@ -231,7 +202,6 @@ class Registry
      * name as a different metric kind panics.
      */
     Counter counter(std::string_view name);
-    Gauge gauge(std::string_view name);
     Histogram histogram(std::string_view name, unsigned buckets = 40);
 
     /** Merge all shards into one view. Concurrent recording is
@@ -243,7 +213,7 @@ class Registry
     std::string snapshotJson() const;
 
     /**
-     * Zero every slot and gauge (tests and run-scoped collection).
+     * Zero every slot (tests and run-scoped collection).
      * Racy against concurrent writers by design — callers quiesce
      * recording threads first.
      */

@@ -42,28 +42,6 @@ us(TickDelta d)
 }
 
 void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
 appendDouble(std::string &out, double v)
 {
     char buf[32];
@@ -138,7 +116,15 @@ TraceWriter::TraceWriter()
             i.limit = v;
     }
     enabled_ = true;
-    std::atexit([] { TraceWriter::instance().flush(); });
+    std::atexit([] {
+        if (TraceWriter::instance().flush())
+            return;
+        // A lost trace fails the run. exit() again inside an atexit
+        // handler is undefined, so flush stdio (a piped stdout would
+        // lose the figure otherwise) and leave through _Exit.
+        std::fflush(nullptr);
+        std::_Exit(EXIT_FAILURE);
+    });
 }
 
 TraceWriter &
@@ -218,11 +204,11 @@ TraceWriter::dropped() const
     return impl().dropped.load(std::memory_order_relaxed);
 }
 
-void
+bool
 TraceWriter::flush()
 {
     if (!enabled_)
-        return;
+        return true;
     Impl &i = impl();
     // Snapshot before taking mu: no code path holds one lock while
     // acquiring another (the registry locks its own mutex).
@@ -238,7 +224,7 @@ TraceWriter::flush()
             out += ",\n";
         first = false;
         out += "{\"name\":";
-        appendJsonString(out, e.name);
+        detail::appendJsonString(out, e.name);
         out += ",\"pid\":";
         out += std::to_string(e.pid);
         out += ",\"tid\":";
@@ -254,7 +240,7 @@ TraceWriter::flush()
                 for (std::size_t a = 0; a < e.args.size(); ++a) {
                     if (a)
                         out += ",";
-                    appendJsonString(out, e.args[a].first);
+                    detail::appendJsonString(out, e.args[a].first);
                     out += ":";
                     out += std::to_string(e.args[a].second);
                 }
@@ -270,8 +256,9 @@ TraceWriter::flush()
             break;
         case Event::Type::kMeta:
             out += ",\"ph\":\"M\",\"ts\":0,\"args\":{\"name\":";
-            appendJsonString(out, e.args.empty() ? std::string_view{}
-                                                 : e.args[0].first);
+            detail::appendJsonString(out, e.args.empty()
+                                              ? std::string_view{}
+                                              : e.args[0].first);
             out += "}";
             break;
         }
@@ -288,7 +275,7 @@ TraceWriter::flush()
         std::fprintf(stderr,
                      "ansmet: cannot open ANSMET_TRACE path '%s'\n",
                      i.path.c_str());
-        return;
+        return false;
     }
     // Both calls can fail (a full disk shows only at fclose, once the
     // stdio buffer drains); either loses the trace.
@@ -298,7 +285,9 @@ TraceWriter::flush()
         std::fprintf(stderr,
                      "ansmet: cannot write ANSMET_TRACE path '%s'\n",
                      i.path.c_str());
+        return false;
     }
+    return true;
 }
 
 } // namespace ansmet::obs

@@ -17,8 +17,9 @@
  * ANSMET_TRACE=<path>; otherwise every call is a cheap early-out.
  * Events buffer in memory (bounded by ANSMET_TRACE_LIMIT, default
  * 2'000'000; overflow is counted, never silent) and flush to the path
- * at process exit or on TraceWriter::flush(). The flushed JSON also
- * embeds the full metrics Snapshot under "metrics".
+ * at process exit or on TraceWriter::flush(); a process whose exit-time
+ * flush fails exits with EXIT_FAILURE. The flushed JSON also embeds the
+ * full metrics Snapshot under "metrics".
  *
  * Like the metrics registry, the layer never feeds back into simulated
  * behaviour.
@@ -68,9 +69,14 @@ class TraceWriter
     void counter(std::string_view name, std::uint32_t tid, Tick when,
                  std::int64_t value);
 
-    /** Write the trace file now (also runs automatically at exit).
-     *  Idempotent per accumulated state; later events re-flush. */
-    void flush();
+    /**
+     * Write the trace file now (also runs automatically at exit).
+     * Idempotent per accumulated state; later events re-flush. Returns
+     * false, after a message on stderr, when the file cannot be
+     * written; true when it was, or when tracing is off. A failed
+     * flush at exit ends the process with EXIT_FAILURE.
+     */
+    [[nodiscard]] bool flush();
 
     /** Events dropped because the buffer hit ANSMET_TRACE_LIMIT. */
     std::uint64_t dropped() const;

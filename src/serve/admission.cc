@@ -16,8 +16,6 @@ AdmissionScheduler::AdmissionScheduler(const AdmissionConfig &cfg)
                      cfg.qshrsPerQuery <= cfg.numQshrs,
                  "admission: qshrsPerQuery out of range");
     max_in_flight_ = cfg.numQshrs / cfg.qshrsPerQuery;
-    if (cfg.maxInFlightCap != 0)
-        max_in_flight_ = std::min(max_in_flight_, cfg.maxInFlightCap);
     ANSMET_CHECK(max_in_flight_ > 0,
                  "admission: config admits no query at all");
     // Slot allocation uses one 64-bit mask; the paper's 32 QSHRs give
@@ -27,12 +25,6 @@ AdmissionScheduler::AdmissionScheduler(const AdmissionConfig &cfg)
     free_slots_ = max_in_flight_ == 64
                       ? ~std::uint64_t{0}
                       : (std::uint64_t{1} << max_in_flight_) - 1;
-
-    obs::Registry &reg = obs::Registry::instance();
-    m_admitted_ = reg.counter("serve.admitted");
-    m_dropped_ = reg.counter("serve.dropped");
-    m_queue_depth_ = reg.gauge("serve.queue_depth");
-    m_occupied_qshrs_ = reg.gauge("serve.occupied_qshrs");
 }
 
 bool
@@ -46,7 +38,6 @@ AdmissionScheduler::tryOffer(std::uint64_t queryId, std::size_t traceIdx,
     if (queue_.size() >= cfg_.queueCapacity) {
         live_ids_.erase(queryId);
         ++dropped_;
-        m_dropped_.inc();
         return false;
     }
     Admitted a;
@@ -54,7 +45,6 @@ AdmissionScheduler::tryOffer(std::uint64_t queryId, std::size_t traceIdx,
     a.traceIdx = traceIdx;
     a.enqueuedAt = now;
     queue_.push_back(a);
-    m_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
     return true;
 }
 
@@ -73,9 +63,6 @@ AdmissionScheduler::admitNext(Tick)
                  "admission: occupied QSHRs ", occupiedQshrs(),
                  " exceed the ", cfg_.numQshrs, " available");
     max_occupied_qshrs_ = std::max(max_occupied_qshrs_, occupiedQshrs());
-    m_admitted_.inc();
-    m_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-    m_occupied_qshrs_.set(occupiedQshrs());
     return a;
 }
 
@@ -91,7 +78,6 @@ AdmissionScheduler::release(unsigned slot, std::uint64_t queryId)
     free_slots_ |= bit;
     ANSMET_CHECK(in_flight_ > 0);
     --in_flight_;
-    m_occupied_qshrs_.set(occupiedQshrs());
 }
 
 } // namespace ansmet::serve

@@ -28,7 +28,6 @@
 #include <set>
 
 #include "common/types.h"
-#include "obs/metrics.h"
 
 namespace ansmet::serve {
 
@@ -37,8 +36,6 @@ struct AdmissionConfig
     std::size_t queueCapacity = 64; //!< waiting arrivals before drops
     unsigned numQshrs = 32;         //!< QSHRs per NDP unit (paper: 32)
     unsigned qshrsPerQuery = 2;     //!< SystemConfig::qshrsPerQuery
-    /** Extra cap on in-flight queries; 0 = QSHR-derived bound only. */
-    unsigned maxInFlightCap = 0;
 };
 
 class AdmissionScheduler
@@ -105,11 +102,6 @@ class AdmissionScheduler
      *  Ordered set: lookups only today, but should anyone iterate it,
      *  the order is the id order, not hash-bucket order (R9). */
     std::set<std::uint64_t> live_ids_;
-
-    obs::Counter m_admitted_;
-    obs::Counter m_dropped_;
-    obs::Gauge m_queue_depth_;
-    obs::Gauge m_occupied_qshrs_;
 };
 
 } // namespace ansmet::serve

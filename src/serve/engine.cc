@@ -52,7 +52,6 @@ class Driver
         report_.admitted = adm_.admitted();
         report_.dropped = adm_.dropped();
         report_.maxOccupiedQshrs = adm_.maxOccupiedQshrs();
-        report_.makespan = report_.run.makespan;
     }
 
   private:
@@ -150,7 +149,6 @@ serve(core::SystemModel &sys,
     ac.queueCapacity = cfg.queueCapacity;
     ac.numQshrs = sc.ndpParams.numQshrs;
     ac.qshrsPerQuery = std::max(1u, sc.qshrsPerQuery);
-    ac.maxInFlightCap = cfg.maxInFlight;
     // CPU designs have no QSHRs to pack; bound by host cores instead.
     if (!isNdp(sc.design)) {
         ac.numQshrs = sc.concurrentQueries;

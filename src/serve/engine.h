@@ -30,12 +30,6 @@ struct ServeConfig
 {
     LoadGenConfig load;
     std::size_t queueCapacity = 64;
-    /**
-     * Cap on concurrent in-flight queries; 0 = derive from the system
-     * (min of concurrentQueries and numQshrs / qshrsPerQuery, i.e.
-     * exactly the paper's 32-QSHR budget).
-     */
-    unsigned maxInFlight = 0;
 };
 
 /** One per-query serving outcome, in completion order. */
@@ -55,16 +49,16 @@ struct ServeReport
     std::uint64_t dropped = 0;
     std::uint64_t completed = 0;
     unsigned maxOccupiedQshrs = 0;
-    TickDelta makespan{}; //!< first arrival scheduled at tick 0
 
-    /** Completed queries per second of simulated time. */
+    /** Completed queries per second of simulated time, over the
+     *  session's makespan (the first arrival is scheduled at tick 0). */
     double
     achievedQps() const
     {
-        if (makespan == TickDelta{})
+        if (run.makespan == TickDelta{})
             return 0.0;
         return static_cast<double>(completed) /
-               (static_cast<double>(makespan.raw()) * 1e-12);
+               (static_cast<double>(run.makespan.raw()) * 1e-12);
     }
 
     std::vector<ServedQuery> queries; //!< completion order

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/check.h"
 
@@ -49,24 +48,12 @@ phaseName(Phase p)
     return "?";
 }
 
-LatencyRecorder::LatencyRecorder()
-{
-    obs::Registry &reg = obs::Registry::instance();
-    for (unsigned p = 0; p < kNumPhases; ++p) {
-        hists_[p] = reg.histogram(
-            std::string("serve.") + phaseName(static_cast<Phase>(p)) +
-                "_ps",
-            48);
-    }
-}
-
 void
 LatencyRecorder::record(Phase phase, std::uint64_t ps)
 {
     const auto p = static_cast<unsigned>(phase);
     ANSMET_DCHECK(p < kNumPhases);
     samples_[p].push_back(ps);
-    hists_[p].sample(ps);
 }
 
 std::size_t

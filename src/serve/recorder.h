@@ -3,17 +3,11 @@
  * Per-phase latency recorder for the serving engine.
  *
  * Every completed query contributes one sample per phase (queue wait,
- * traverse, offload, compute, collect, end-to-end total), recorded
- * twice on purpose:
- *
- *  - raw samples kept in-recorder for *exact* nearest-rank quantiles —
- *    the p50/p99/p999/max the bench reports and CI gates on must not
- *    carry bucketing error, and a quantile too few samples support is
- *    reported as unavailable rather than as the maximum in disguise;
- *  - a log2 histogram per phase in the obs metrics registry
- *    ("serve.<phase>_ps"), so serving latency shows up in metric
- *    snapshots and trace-file dumps like every other subsystem, at the
- *    documented 2x bucket-bound accuracy.
+ * traverse, offload, compute, collect, end-to-end total). The recorder
+ * keeps every raw sample, so its quantiles are *exact* nearest-rank
+ * ones: the p50/p99/p999/max the bench reports and CI gates on carry
+ * no bucketing error, and a quantile too few samples support is
+ * reported as unavailable rather than as the maximum in disguise.
  *
  * The recorder is driven only from simulation callbacks (one thread);
  * it is not thread-safe and does not need to be.
@@ -28,7 +22,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/metrics.h"
 
 namespace ansmet::serve {
 
@@ -76,8 +69,6 @@ struct PhaseSummary
 class LatencyRecorder
 {
   public:
-    LatencyRecorder();
-
     /** Record one @p ps sample for @p phase. */
     void record(Phase phase, std::uint64_t ps);
 
@@ -99,7 +90,6 @@ class LatencyRecorder
 
   private:
     std::array<std::vector<std::uint64_t>, kNumPhases> samples_;
-    std::array<obs::Histogram, kNumPhases> hists_;
 };
 
 } // namespace ansmet::serve

@@ -101,14 +101,11 @@ class EventQueue
             free_.push_back(slot);
             cb();
             ++processed;
-            if ((processed & ((1u << 16) - 1)) == 0)
-                depthGauge().set(static_cast<std::int64_t>(pending()));
         }
         if (processed != 0) {
             static obs::Counter events =
                 obs::Registry::instance().counter("sim.events");
             events.add(processed);
-            depthGauge().set(static_cast<std::int64_t>(pending()));
         }
     }
 
@@ -142,14 +139,6 @@ class EventQueue
                    ((U128{b.when.raw()} << 64) | b.order);
         }
     };
-
-    static obs::Gauge &
-    depthGauge()
-    {
-        static obs::Gauge g =
-            obs::Registry::instance().gauge("sim.queue_depth");
-        return g;
-    }
 
     std::vector<Key> heap_;
     std::vector<Callback> slots_; //!< callbacks, indexed by Key::slot

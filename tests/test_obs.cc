@@ -1,9 +1,9 @@
 /**
  * @file
- * Observability-layer tests: registry semantics (counters, gauges,
+ * Observability-layer tests: registry semantics (counters,
  * histograms, shard merging across threads), snapshot JSON shape, and
  * the Chrome-trace writer's off-by-default behaviour and write-error
- * report.
+ * report, from an explicit flush and from the flush at exit.
  */
 
 #include <gtest/gtest.h>
@@ -47,15 +47,6 @@ TEST_F(RegistryTest, RegistrationIsIdempotent)
     b.add(2);
     const Snapshot snap = Registry::instance().snapshot();
     EXPECT_EQ(snap.counters.at("test.same_name"), 3u);
-}
-
-TEST_F(RegistryTest, GaugeKeepsLastValue)
-{
-    Gauge g = Registry::instance().gauge("test.gauge");
-    g.set(7);
-    g.add(-3);
-    const Snapshot snap = Registry::instance().snapshot();
-    EXPECT_EQ(snap.gauges.at("test.gauge"), 4);
 }
 
 TEST_F(RegistryTest, HistogramBucketsByLog2)
@@ -228,16 +219,19 @@ TEST_F(RegistryTest, ShardsMergeAcrossThreads)
 TEST_F(RegistryTest, SnapshotJsonIsParsableShape)
 {
     Registry::instance().counter("test.json_counter").add(5);
-    Registry::instance().gauge("test.json_gauge").set(-2);
+    Registry::instance().counter("test.\"quoted\"").add(2);
     Registry::instance().histogram("test.json_hist", 4).sample(1);
     const std::string json = Registry::instance().snapshotJson();
     // Not a full JSON parser — assert the structural anchors a real
-    // consumer (tools/, CI artifact readers) relies on.
+    // consumer (tools/, CI artifact readers) relies on: exactly the
+    // two instrument kinds, and names escaped as JSON strings.
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+    EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"test.json_counter\": 5"), std::string::npos);
-    EXPECT_NE(json.find("\"test.json_gauge\": -2"), std::string::npos);
+    EXPECT_NE(json.find("\"test.\\\"quoted\\\"\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"test.json_hist\": {\"count\": 1"),
+              std::string::npos);
     EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
@@ -259,7 +253,7 @@ TEST(TraceWriterTest, DisabledWithoutEnv)
     tw.beginRun("test-run");
     tw.span("noop", 0, Tick{}, Tick{10});
     tw.counter("noop", 0, Tick{}, 1);
-    tw.flush();
+    EXPECT_TRUE(tw.flush());
     EXPECT_EQ(tw.dropped(), 0u);
 }
 
@@ -270,17 +264,26 @@ TEST(TraceWriterDeathTest, FailedWriteIsReported)
     if (!std::filesystem::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full on this system";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Each child is a fresh process, so this is the singleton's first
+    // use: it reads ANSMET_TRACE there.
     EXPECT_EXIT(
         {
-            // The child is a fresh process, so this is the singleton's
-            // first use: it reads ANSMET_TRACE here.
             ::setenv("ANSMET_TRACE", "/dev/full", 1);
             auto &tw = TraceWriter::instance();
             tw.span("query", 0, Tick{}, Tick{10});
-            tw.flush();
-            std::_Exit(0);
+            // _Exit skips the exit-time flush; the code is the result.
+            std::_Exit(tw.flush() ? 0 : 3);
         },
-        ::testing::ExitedWithCode(0),
+        ::testing::ExitedWithCode(3),
+        "ansmet: cannot write ANSMET_TRACE path '/dev/full'");
+    // A process that exits normally with an unwritten trace fails.
+    EXPECT_EXIT(
+        {
+            ::setenv("ANSMET_TRACE", "/dev/full", 1);
+            TraceWriter::instance().span("query", 0, Tick{}, Tick{10});
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(1),
         "ansmet: cannot write ANSMET_TRACE path '/dev/full'");
 }
 

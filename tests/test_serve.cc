@@ -369,7 +369,7 @@ expectBitwiseEqual(const serve::ServeReport &a, const serve::ServeReport &b)
     EXPECT_EQ(a.admitted, b.admitted);
     EXPECT_EQ(a.dropped, b.dropped);
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.run.makespan, b.run.makespan);
     ASSERT_EQ(a.queries.size(), b.queries.size());
     for (std::size_t i = 0; i < a.queries.size(); ++i) {
         EXPECT_EQ(a.queries[i].queryId, b.queries[i].queryId) << i;

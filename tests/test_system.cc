@@ -2,7 +2,8 @@
  * @file
  * Integration tests of the full co-simulation: all nine designs run a
  * small workload end to end; the paper's headline orderings must hold
- * (NDP beats CPU, ET reduces lines, adaptive polling beats fixed).
+ * (NDP beats CPU, ET reduces lines, adaptive polling beats fixed); and
+ * the replay publishes the registry metrics perfbench reads.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "anns/hnsw.h"
 #include "core/system.h"
 #include "et/profile.h"
+#include "obs/metrics.h"
 
 namespace ansmet::core {
 namespace {
@@ -218,6 +220,50 @@ TEST(System, ReplicationImprovesBalanceUnderSkew)
     const double with = imbalance(true);
     EXPECT_LE(with, without + 1e-9);
     EXPECT_GE(without, 1.0);
+}
+
+TEST(System, PublishesTheMetricsPerfbenchReads)
+{
+    // perfbench/replay.cc's kCounters. perfbench reads a missing name
+    // as 0, so deleting or renaming one of these metrics would zero a
+    // per-layer figure silently; this test fails instead.
+    const char *const kPerfbenchCounters[] = {
+        "sim.events",         "dram.reads",          "dram.writes",
+        "dram.row_activates", "dram.row_conflicts",  "ndp.tasks_completed",
+        "ndp.lines_fetched",  "ndp.backpressure_staged",
+        "host.cache_hits",    "host.cache_misses",   "et.lines_fetched",
+        "et.lines_skipped",
+    };
+    const Fixture &f = fixture();
+    const obs::Snapshot before = obs::Registry::instance().snapshot();
+    // Built here so hnsw.distance_comps moves even when the fixture's
+    // index was built before the first snapshot.
+    const anns::HnswIndex small(*f.ds.base, f.ds.metric(),
+                                anns::HnswParams{8, 32, 5});
+    runDesign(Design::kNdpEtOpt);
+    runDesign(Design::kCpuBase);
+    const obs::Snapshot after = obs::Registry::instance().snapshot();
+
+    for (const char *name : kPerfbenchCounters)
+        EXPECT_EQ(after.counters.count(name), 1u) << name;
+
+    auto count = [](const obs::Snapshot &s, const char *name) {
+        const auto it = s.counters.find(name);
+        return it == s.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    // dram.writes is left out: the model never issues a DRAM write.
+    for (const char *name :
+         {"sim.events", "dram.reads", "dram.row_activates",
+          "ndp.tasks_completed", "ndp.lines_fetched", "host.cache_hits",
+          "host.cache_misses", "et.lines_fetched", "hnsw.distance_comps"})
+        EXPECT_GT(count(after, name), count(before, name)) << name;
+
+    const char *const kLatency = "dram.queue_latency_ps";
+    const auto lat = after.histograms.find(kLatency);
+    ASSERT_NE(lat, after.histograms.end());
+    const auto was = before.histograms.find(kLatency);
+    EXPECT_GT(lat->second.count,
+              was == before.histograms.end() ? 0u : was->second.count);
 }
 
 } // namespace
