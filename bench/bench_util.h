@@ -18,8 +18,8 @@
 #include <memory>
 #include <string>
 
+#include "common/runtime/runtime.h"
 #include "common/table.h"
-#include "common/runtime/core_set.h"
 #include "core/experiment.h"
 #include "obs/trace.h"
 
@@ -140,6 +140,9 @@ banner(const char *what, const char *paper_ref)
     static bool armed = false;
     if (!armed && !quiet()) {
         armed = true;
+        // Registered before Runtime::global() is first built, so the
+        // hook runs after that static is destroyed: read the lane count
+        // from the environment, not from the runtime.
         std::atexit([] {
             const double s = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() -
@@ -147,7 +150,7 @@ banner(const char *what, const char *paper_ref)
                                  .count();
             std::printf("\n[timing] total wall-clock: %.2f s "
                         "(ANSMET_THREADS=%u)\n",
-                        s, runtime::CoreSet::configuredLanes());
+                        s, runtime::configuredLanes());
         });
     }
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Growable power-of-two ring buffer with deque front/back semantics.
+ * Growable power-of-two ring buffer used as a FIFO: push_back, front,
+ * pop_front.
  *
  * Replacement for `std::deque` in simulation hot loops (NDP QSHR task
  * FIFOs, DRAM bus-transfer queues): std::deque allocates and frees a
@@ -46,20 +47,6 @@ class RingDeque
         return buf_[head_];
     }
 
-    T &
-    back()
-    {
-        ANSMET_DCHECK(count_ > 0, "back() on empty RingDeque");
-        return buf_[(head_ + count_ - 1) & (buf_.size() - 1)];
-    }
-
-    const T &
-    back() const
-    {
-        ANSMET_DCHECK(count_ > 0, "back() on empty RingDeque");
-        return buf_[(head_ + count_ - 1) & (buf_.size() - 1)];
-    }
-
     void
     push_back(T v)
     {
@@ -76,14 +63,6 @@ class RingDeque
         buf_[head_] = T{}; // release the slot's resources now
         head_ = (head_ + 1) & (buf_.size() - 1);
         --count_;
-    }
-
-    void
-    clear()
-    {
-        while (count_ > 0)
-            pop_front();
-        head_ = 0;
     }
 
   private:

@@ -1,15 +1,11 @@
 #include "common/runtime/runtime.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace ansmet::runtime {
 
@@ -35,33 +31,30 @@ class BodyScope
     bool was_;
 };
 
-void
-pinToCore(unsigned core)
-{
-#ifdef __linux__
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(core, &set);
-    if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0)
-        ANSMET_WARN("failed to pin runtime worker to its core");
-#else
-    (void)core;
-#endif
-}
-
 } // namespace
 
-Runtime::Runtime(CoreSet cores)
+unsigned
+configuredLanes()
 {
-    if (cores.size() == 0)
-        cores = CoreSet::configured();
-    workers_.reserve(cores.size() - 1);
+    // Read-only config knob, queried before any runtime thread exists.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): nothing mutates the env.
+    if (const char *env = std::getenv("ANSMET_THREADS")) {
+        const long v = std::strtol(env, nullptr, 10);
+        if (v >= 1)
+            return static_cast<unsigned>(v);
+        ANSMET_WARN("ignoring invalid ANSMET_THREADS value");
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
+Runtime::Runtime(unsigned lanes)
+{
+    ANSMET_CHECK(lanes >= 1, "a runtime needs at least one lane");
+    workers_.reserve(lanes - 1);
     try {
-        for (unsigned lane = 1; lane < cores.size(); ++lane)
-            workers_.emplace_back(
-                [this, core = cores[lane], pin = cores.pinned()] {
-                    workerLoop(core, pin);
-                });
+        for (unsigned lane = 1; lane < lanes; ++lane)
+            workers_.emplace_back([this] { workerLoop(); });
     } catch (...) {
         stopWorkers(); // a started worker must not outlive the members
         throw;
@@ -90,10 +83,8 @@ Runtime::global()
 }
 
 void
-Runtime::workerLoop(unsigned core, bool pin)
+Runtime::workerLoop()
 {
-    if (pin)
-        pinToCore(core);
     for (;;) {
         Job *job = nullptr;
         {

@@ -7,14 +7,14 @@
  * on which lane ran a chunk or in which order chunks ran — write to
  * index-addressed slots, draw randomness from per-item common::Prng
  * streams, reduce in a canonical serial order. Under that contract
- * every figure is bitwise identical for any ANSMET_THREADS /
- * ANSMET_CORES setting, which CI asserts.
+ * every figure is bitwise identical for any ANSMET_THREADS setting,
+ * which CI asserts.
  *
- * Lanes: a CoreSet of size n means n lanes. Lane 0 is the caller; the
- * constructor starts n - 1 worker threads (pinned to their cores when
- * the CoreSet is pinned) and the destructor joins them. A one-lane
- * runtime starts nothing and runs every call inline on the caller;
- * that is the ANSMET_THREADS=1 reference path.
+ * Lanes: a runtime of n lanes counts the caller as lane 0; the
+ * constructor starts n - 1 unpinned worker threads and the destructor
+ * joins them. A one-lane runtime starts nothing and runs every call
+ * inline on the caller; that is the ANSMET_THREADS=1 reference path.
+ * Placing a process on particular cores is left to the OS (taskset).
  *
  * Nesting: a thread-local flag marks "inside a parallelFor body" on
  * every path that runs a body, inline paths included. The flag is
@@ -34,24 +34,29 @@
 #include <thread>
 #include <vector>
 
-#include "common/runtime/core_set.h"
 #include "common/sync.h"
 
 namespace ansmet::runtime {
+
+/**
+ * ANSMET_THREADS if set (a junk value warns and is ignored), else
+ * hardware concurrency; always >= 1.
+ */
+unsigned configuredLanes();
 
 class Runtime
 {
   public:
     using Body = std::function<void(std::size_t, std::size_t)>;
 
-    /** Lanes and pinning from @p cores; empty = CoreSet::configured(). */
-    explicit Runtime(CoreSet cores = {});
+    /** A runtime of @p lanes execution lanes, >= 1. */
+    explicit Runtime(unsigned lanes = configuredLanes());
     ~Runtime(); // joins the workers
 
     Runtime(const Runtime &) = delete;
     Runtime &operator=(const Runtime &) = delete;
 
-    /** Process-wide runtime, sized by CoreSet::configured() at first use. */
+    /** Process-wide runtime, sized by configuredLanes() at first use. */
     static Runtime &global();
 
     /** Execution lanes: worker threads + the calling thread, >= 1. */
@@ -83,7 +88,7 @@ class Runtime
         std::atomic<std::size_t> next{0};
     };
 
-    void workerLoop(unsigned core, bool pin);
+    void workerLoop();
 
     /** Claim and run chunks of @p job until its cursor is exhausted. */
     void runChunks(Job &job);

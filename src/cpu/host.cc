@@ -109,7 +109,6 @@ HostCpu::read(Addr addr, unsigned lines, Callback done)
         const MappedLine m = mapHostLine(a / kLineBytes);
         dram::Request req;
         req.addr = m.addr;
-        req.isWrite = false;
         req.onComplete = [this, lat, op](Tick) {
             // LLC-to-core return latency after the DRAM data arrives.
             eq_.scheduleIn(lat, [this, op] { lineDone(op); });

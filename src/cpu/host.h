@@ -72,8 +72,6 @@ class HostCpu
      */
     void read(Addr addr, unsigned lines, Callback done);
 
-    const HostParams &params() const { return hp_; }
-    cache::CacheHierarchy &caches() { return *caches_; }
     dram::MemController &channel(unsigned c) { return *channels_[c]; }
     unsigned numChannels() const
     {

@@ -16,7 +16,6 @@ struct DramMetrics
 {
     obs::Registry &reg = obs::Registry::instance();
     obs::Counter reads = reg.counter("dram.reads");
-    obs::Counter writes = reg.counter("dram.writes");
     obs::Counter rowActivates = reg.counter("dram.row_activates");
     obs::Counter rowConflicts = reg.counter("dram.row_conflicts");
     obs::Counter busTransfers = reg.counter("dram.bus_transfers");
@@ -69,7 +68,7 @@ MemController::enqueue(unsigned rank, Request req)
     queue_.push_back(idx);
     ++transfers_;
     DramMetrics &m = dramMetrics();
-    (p.req.isWrite ? m.writes : m.reads).inc();
+    m.reads.inc();
     m.queueDepth.sample(queue_.size());
     if (obs_enq_++ % kQueueSampleStride == 0) {
         auto &tw = obs::TraceWriter::instance();
@@ -90,14 +89,13 @@ MemController::nextCommand(const Pending &p, Tick now) const
 
     if (open && *open == a.row) {
         // Row hit: column command, also gated by the shared data bus.
-        Tick t = dev.earliestCol(a, p.req.isWrite, now);
-        const TickDelta data_latency =
-            tp_.cycles(p.req.isWrite ? tp_.tCWL : tp_.tCL);
+        Tick t = dev.earliestCol(a, now);
+        const TickDelta data_latency = tp_.cycles(tp_.tCL);
         if (data_bus_free_at_ - Tick{} > data_latency &&
             t + data_latency < data_bus_free_at_) {
             t = data_bus_free_at_ - data_latency;
         }
-        return {p.req.isWrite ? Command::kWr : Command::kRd, t, true};
+        return {Command::kRd, t, true};
     }
     if (open) {
         // Row conflict: precharge first.
@@ -122,9 +120,8 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
         dev.issuePre(p.req.addr, t);
         dramMetrics().rowConflicts.inc();
         break;
-      case Command::kRd:
-      case Command::kWr: {
-        const Tick data_end = dev.issueCol(p.req.addr, p.req.isWrite, t);
+      case Command::kRd: {
+        const Tick data_end = dev.issueCol(p.req.addr, t);
         const Tick data_start = data_end - tp_.cycles(tp_.tBL);
         ANSMET_CHECK(data_start >= data_bus_free_at_,
                      "data bus overlap at ", data_start);

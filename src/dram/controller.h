@@ -34,7 +34,7 @@ class MemController
                   const OrgParams &org, unsigned num_ranks,
                   std::string name);
 
-    /** Enqueue a 64 B request for @p rank. Completion via callback. */
+    /** Enqueue a 64 B bank read for @p rank. Completion via callback. */
     void enqueue(unsigned rank, Request req);
 
     /**
@@ -52,8 +52,8 @@ class MemController
     /** Ticks during which the data bus carried a burst (utilization). */
     TickDelta dataBusBusy() const { return data_bus_busy_; }
 
-    /** 64 B transfers enqueued so far: bank reads and writes plus
-     *  buffer-chip transfers (what channel I/O energy is charged for). */
+    /** 64 B transfers enqueued so far: bank reads plus buffer-chip
+     *  transfers (what channel I/O energy is charged for). */
     std::uint64_t transfers() const { return transfers_; }
 
   private:

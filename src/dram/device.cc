@@ -65,8 +65,7 @@ RankDevice::rankActConstraint(unsigned bank_group, Tick now) const
 }
 
 Tick
-RankDevice::rankColConstraint(unsigned bank_group, bool is_write,
-                              Tick now) const
+RankDevice::rankColConstraint(unsigned bank_group, Tick now) const
 {
     Tick t = std::max(now, refreshBlockedUntil_);
     if (anyCol_) {
@@ -74,8 +73,6 @@ RankDevice::rankColConstraint(unsigned bank_group, bool is_write,
             bank_group == lastColBg_ ? tp_.tCCD_L : tp_.tCCD_S;
         t = std::max(t, lastColAt_ + tp_.cycles(ccd));
     }
-    if (!is_write)
-        t = std::max(t, writeRecoveryUntil_);
     return t;
 }
 
@@ -95,11 +92,10 @@ RankDevice::earliestPre(const BankAddr &a, Tick now) const
 }
 
 Tick
-RankDevice::earliestCol(const BankAddr &a, bool is_write, Tick now) const
+RankDevice::earliestCol(const BankAddr &a, Tick now) const
 {
     const Bank &b = bank(a);
-    return std::max(b.colAllowedAt,
-                    rankColConstraint(a.bankGroup, is_write, now));
+    return std::max(b.colAllowedAt, rankColConstraint(a.bankGroup, now));
 }
 
 void
@@ -134,37 +130,22 @@ RankDevice::issuePre(const BankAddr &a, Tick t)
 }
 
 Tick
-RankDevice::issueCol(const BankAddr &a, bool is_write, Tick t)
+RankDevice::issueCol(const BankAddr &a, Tick t)
 {
     Bank &b = bank(a);
     ANSMET_CHECK(b.openRow && *b.openRow == a.row,
                  "column command to a closed/incorrect row");
-    ANSMET_DCHECK(t >= earliestCol(a, is_write, t),
-                  "column timing violation at ", t);
+    ANSMET_DCHECK(t >= earliestCol(a, t), "column timing violation at ", t);
 
-    const unsigned latency = is_write ? tp_.tCWL : tp_.tCL;
-    const Tick data_start = t + tp_.cycles(latency);
-    const Tick data_end = data_start + tp_.cycles(tp_.tBL);
-
-    if (is_write) {
-        // Write recovery gates both PRE (tWR) and subsequent reads (tWTR).
-        b.preAllowedAt =
-            std::max(b.preAllowedAt, data_end + tp_.cycles(tp_.tWR));
-        writeRecoveryUntil_ =
-            std::max(writeRecoveryUntil_, data_end + tp_.cycles(tp_.tWTR));
-        ++num_writes_;
-    } else {
-        b.preAllowedAt =
-            std::max(b.preAllowedAt, t + tp_.cycles(tp_.tRTP));
-        ++num_reads_;
-    }
+    const Tick data_end = t + tp_.cycles(tp_.tCL + tp_.tBL);
+    b.preAllowedAt = std::max(b.preAllowedAt, t + tp_.cycles(tp_.tRTP));
+    ++num_reads_;
 
     lastColAt_ = t;
     lastColBg_ = a.bankGroup;
-    lastColWasWrite_ = is_write;
     anyCol_ = true;
 
-    record(is_write ? Command::kWr : Command::kRd, a, t);
+    record(Command::kRd, a, t);
     return data_end;
 }
 

@@ -45,10 +45,10 @@ class RankDevice
     Tick earliestPre(const BankAddr &a, Tick now) const;
 
     /**
-     * Earliest tick a RD/WR to @p a could issue. Requires the row to be
+     * Earliest tick a RD to @p a could issue. Requires the row to be
      * open (checked by caller via openRow()).
      */
-    Tick earliestCol(const BankAddr &a, bool is_write, Tick now) const;
+    Tick earliestCol(const BankAddr &a, Tick now) const;
 
     /** Commit an ACT at @p t (must satisfy earliestAct). */
     void issueAct(const BankAddr &a, Tick t);
@@ -57,10 +57,10 @@ class RankDevice
     void issuePre(const BankAddr &a, Tick t);
 
     /**
-     * Commit a RD/WR at @p t.
+     * Commit a RD at @p t.
      * @return the tick at which the data burst completes.
      */
-    Tick issueCol(const BankAddr &a, bool is_write, Tick t);
+    Tick issueCol(const BankAddr &a, Tick t);
 
     /** Row currently open in the bank of @p a, if any. */
     std::optional<unsigned> openRow(const BankAddr &a) const;
@@ -79,7 +79,6 @@ class RankDevice
     /** Counters for the power model. */
     std::uint64_t numActs() const { return num_acts_; }
     std::uint64_t numReads() const { return num_reads_; }
-    std::uint64_t numWrites() const { return num_writes_; }
     std::uint64_t numRefreshes() const { return num_refreshes_; }
 
     const TimingParams &timing() const { return tp_; }
@@ -100,9 +99,8 @@ class RankDevice
     /** Rank-level earliest ACT considering tRRD and tFAW. */
     Tick rankActConstraint(unsigned bank_group, Tick now) const;
 
-    /** Rank-level earliest column command (tCCD_S/L, tWTR). */
-    Tick rankColConstraint(unsigned bank_group, bool is_write,
-                           Tick now) const;
+    /** Rank-level earliest column command (tCCD_S/L). */
+    Tick rankColConstraint(unsigned bank_group, Tick now) const;
 
     void record(Command c, const BankAddr &a, Tick t);
 
@@ -117,9 +115,7 @@ class RankDevice
     std::deque<Tick> actWindow_;          //!< for tFAW (last 4 ACTs)
     Tick lastColAt_{};
     unsigned lastColBg_ = ~0u;
-    bool lastColWasWrite_ = false;
     bool anyCol_ = false;
-    Tick writeRecoveryUntil_{};           //!< WR data end + tWTR, gates RD
     Tick refreshBlockedUntil_{};
     Tick nextRefreshAt_;
 
@@ -128,7 +124,6 @@ class RankDevice
 
     std::uint64_t num_acts_ = 0;
     std::uint64_t num_reads_ = 0;
-    std::uint64_t num_writes_ = 0;
     std::uint64_t num_refreshes_ = 0;
 };
 

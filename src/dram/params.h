@@ -35,8 +35,6 @@ struct TimingParams
     unsigned tRRD_L = 12;  //!< ACT-to-ACT, same bank group
     unsigned tFAW = 32;    //!< four-activate window
     unsigned tRTP = 18;    //!< RD -> PRE
-    unsigned tWR = 72;     //!< end of write burst -> PRE
-    unsigned tWTR = 20;    //!< end of write burst -> RD
     unsigned tREFI = 9360; //!< refresh interval (3.9 us)
     unsigned tRFC = 984;   //!< refresh cycle time (410 ns)
 
@@ -72,7 +70,6 @@ struct EnergyParams
 {
     double actPreEnergyNj = 2.0;   //!< one ACT+PRE pair
     double rdCoreEnergyNj = 2.0;   //!< 64 B read, array + internal bus
-    double wrCoreEnergyNj = 2.2;   //!< 64 B write
     double ioEnergyNj = 1.2;       //!< 64 B transfer over the channel DQ bus
     double refreshEnergyNj = 48.0; //!< one all-bank refresh
     double backgroundMwPerRank = 60.0;  //!< standby/active background

@@ -2,7 +2,7 @@
  * @file
  * Command-count based DRAM energy model.
  *
- * Energy = sum over ranks of (ACT/PRE pairs, reads, writes, refreshes)
+ * Energy = sum over ranks of (ACT/PRE pairs, reads, refreshes)
  * times per-event energies, plus background power integrated over the
  * simulated time. Channel I/O energy is charged only for transfers
  * that cross the DQ bus to the host, which is how NDP saves I/O power.
@@ -52,9 +52,7 @@ rankEnergy(const RankDevice &dev, const EnergyParams &ep,
 {
     EnergyBreakdown e;
     e.actPreNj = static_cast<double>(dev.numActs()) * ep.actPreEnergyNj;
-    e.rdWrCoreNj =
-        static_cast<double>(dev.numReads()) * ep.rdCoreEnergyNj +
-        static_cast<double>(dev.numWrites()) * ep.wrCoreEnergyNj;
+    e.rdWrCoreNj = static_cast<double>(dev.numReads()) * ep.rdCoreEnergyNj;
     e.ioNj = static_cast<double>(host_transfers) * ep.ioEnergyNj;
     e.refreshNj =
         static_cast<double>(dev.numRefreshes()) * ep.refreshEnergyNj;

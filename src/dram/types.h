@@ -13,8 +13,8 @@
 
 namespace ansmet::dram {
 
-/** DRAM command set (all-bank refresh only). */
-enum class Command : std::uint8_t { kAct, kPre, kRd, kWr, kRef };
+/** DRAM command set (all-bank refresh only; nothing writes a bank). */
+enum class Command : std::uint8_t { kAct, kPre, kRd, kRef };
 
 /** Decoded location of a 64 B line inside one rank. */
 struct BankAddr
@@ -38,7 +38,7 @@ struct BankAddr
     }
 };
 
-/** A 64 B memory request presented to a controller. */
+/** A 64 B bank read presented to a controller. */
 struct Request
 {
     /** Completion callback; inline-only capture (move-only request).
@@ -48,7 +48,6 @@ struct Request
     using Callback = sim::InlineFunction<void(Tick finish), 40>;
 
     BankAddr addr;
-    bool isWrite = false;
     Tick arrival{};
     Callback onComplete;
 };

@@ -198,18 +198,6 @@ class LoadTracker
 
     std::uint64_t load(unsigned rank) const { return load_[rank]; }
 
-    /** The rank with the smallest accumulated load among @p ranks. */
-    unsigned
-    leastLoaded(const std::vector<unsigned> &ranks) const
-    {
-        ANSMET_CHECK(!ranks.empty());
-        unsigned best = ranks[0];
-        for (const unsigned r : ranks)
-            if (load_[r] < load_[best])
-                best = r;
-        return best;
-    }
-
     /** max(load) / mean(load); 1.0 = perfectly balanced. */
     double
     imbalanceRatio() const

@@ -57,20 +57,17 @@ NdpUnit::submit(unsigned qshr, NdpTask task)
     QshrState &q = qshrs_[qshr];
     // An inactive QSHR must hold no half-executed task state; anything
     // else means a slot was recycled without completing (double free).
-    ANSMET_DCHECK(q.active ||
-                      (q.fifo.empty() && q.staged.empty() &&
-                       q.linesToIssue == 0 && q.linesInFlight == 0),
+    ANSMET_DCHECK(q.active || (q.tasks.empty() && q.linesToIssue == 0 &&
+                               q.linesInFlight == 0),
                   "idle QSHR ", qshr, " holds stale task state");
-    ndpMetrics().slotOccupancy.sample(q.fifo.size());
-    if (q.fifo.size() >= np_.tasksPerQshr) {
-        // All architectural slots busy: stage host-side until one
-        // frees. Execution order is unchanged (strict FIFO per QSHR).
-        q.staged.push_back(std::move(task));
+    ndpMetrics().slotOccupancy.sample(occupiedSlots(qshr));
+    if (q.tasks.size() >= np_.tasksPerQshr) {
+        // All architectural slots busy: the task stages host-side until
+        // one frees. Execution order is unchanged (strict FIFO per QSHR).
         ++backpressure_events_;
         ndpMetrics().backpressure.inc();
-        return;
     }
-    q.fifo.push_back(std::move(task));
+    q.tasks.push_back(std::move(task));
     if (!q.active)
         startNext(qshr);
 }
@@ -79,14 +76,15 @@ unsigned
 NdpUnit::occupiedSlots(unsigned qshr) const
 {
     ANSMET_CHECK(qshr < qshrs_.size(), "bad QSHR id ", qshr);
-    return static_cast<unsigned>(qshrs_[qshr].fifo.size());
+    return static_cast<unsigned>(
+        std::min<std::size_t>(qshrs_[qshr].tasks.size(), np_.tasksPerQshr));
 }
 
 unsigned
 NdpUnit::stagedTasks(unsigned qshr) const
 {
-    ANSMET_CHECK(qshr < qshrs_.size(), "bad QSHR id ", qshr);
-    return static_cast<unsigned>(qshrs_[qshr].staged.size());
+    const unsigned slots = occupiedSlots(qshr); // checks the id
+    return static_cast<unsigned>(qshrs_[qshr].tasks.size()) - slots;
 }
 
 void
@@ -95,18 +93,13 @@ NdpUnit::startNext(unsigned qshr)
     QshrState &q = qshrs_[qshr];
     ANSMET_DCHECK(q.linesToIssue == 0 && q.linesInFlight == 0,
                   "QSHR ", qshr, " started a task with fetches in flight");
-    ANSMET_DCHECK(q.fifo.size() <= np_.tasksPerQshr,
-                  "QSHR ", qshr, " exceeds its ", np_.tasksPerQshr,
-                  " task slots");
-    ANSMET_DCHECK(q.fifo.size() == np_.tasksPerQshr || q.staged.empty(),
-                  "QSHR ", qshr, " staged tasks while slots were free");
-    if (q.fifo.empty()) {
+    if (q.tasks.empty()) {
         q.active = false;
         return;
     }
     q.active = true;
     q.headStart = eq_.now();
-    const NdpTask &t = q.fifo.front();
+    const NdpTask &t = q.tasks.front();
     q.linesToIssue = std::max(1u, t.lines);
     q.linesInFlight = 0;
     q.nextLine = t.startLine;
@@ -125,7 +118,6 @@ NdpUnit::issueWindow(unsigned qshr)
            q.linesInFlight < np_.fetchPipelineDepth) {
         dram::Request req;
         req.addr = dram::mapLine(q.nextLine, org_);
-        req.isWrite = false;
         req.onComplete = [this, qshr](Tick when) {
             lineArrived(qshr, when);
         };
@@ -144,7 +136,7 @@ NdpUnit::lineArrived(unsigned qshr, Tick when)
     QshrState &q = qshrs_[qshr];
     ANSMET_CHECK(q.active && q.linesInFlight > 0,
                  "line arrival on QSHR ", qshr, " with no fetch outstanding");
-    ANSMET_DCHECK(!q.fifo.empty(), "line arrival on QSHR ", qshr,
+    ANSMET_DCHECK(!q.tasks.empty(), "line arrival on QSHR ", qshr,
                   " with no task");
     ANSMET_DCHECK(q.linesInFlight <= np_.fetchPipelineDepth,
                   "fetch window overflow on QSHR ", qshr);
@@ -152,7 +144,7 @@ NdpUnit::lineArrived(unsigned qshr, Tick when)
 
     // The distance computing unit consumes the line, plus one cycle
     // for the bound comparison; the comparison gates further issue.
-    const NdpTask &t = q.fifo.front();
+    const NdpTask &t = q.tasks.front();
     const std::uint64_t cycles =
         std::max(1u, t.computeCyclesPerLine) + 1;
     const Tick start = std::max(when, compute_free_at_);
@@ -171,20 +163,14 @@ NdpUnit::lineArrived(unsigned qshr, Tick when)
     // Task complete at the end of the final bound/distance computation.
     eq_.schedule(end, [this, qshr, end] {
         QshrState &qs = qshrs_[qshr];
-        ANSMET_CHECK(qs.active && !qs.fifo.empty(),
+        ANSMET_CHECK(qs.active && !qs.tasks.empty(),
                      "task completion on empty QSHR ", qshr,
                      " (slot double free)");
         ANSMET_DCHECK(qs.linesToIssue == 0 && qs.linesInFlight == 0,
                       "task completed on QSHR ", qshr,
                       " with fetches outstanding");
-        NdpTask done = std::move(qs.fifo.front());
-        qs.fifo.pop_front();
-        // The freed slot immediately re-fills from the staging queue,
-        // preserving FIFO order across the backpressure boundary.
-        if (!qs.staged.empty()) {
-            qs.fifo.push_back(std::move(qs.staged.front()));
-            qs.staged.pop_front();
-        }
+        NdpTask done = std::move(qs.tasks.front());
+        qs.tasks.pop_front();
         ++tasks_completed_;
         NdpMetrics &m = ndpMetrics();
         m.tasks.inc();

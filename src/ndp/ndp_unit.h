@@ -82,13 +82,13 @@ class NdpUnit
      * program tracks QSHR ids explicitly, per the paper).
      *
      * Each QSHR holds at most tasksPerQshr (8) architectural task
-     * slots. Submissions beyond that are backpressured into a staging
-     * queue (modelling the host-side instruction buffer the paper's
-     * runtime drains into free slots) and refill the QSHR in FIFO
-     * order as slots free up. Because a QSHR executes its tasks
-     * strictly serially either way, staging is timing-neutral; it only
-     * bounds the architectural occupancy and surfaces backpressure in
-     * the stats.
+     * slots: the first tasksPerQshr tasks of its queue. A submission
+     * that finds them all full counts one backpressure event and waits
+     * behind them, staged (modelling the host-side instruction buffer
+     * the paper's runtime drains into free slots). Because a QSHR
+     * executes its tasks strictly serially either way, staging is
+     * timing-neutral; it only bounds the architectural occupancy and
+     * surfaces backpressure in the stats.
      */
     void submit(unsigned qshr, NdpTask task);
 
@@ -96,7 +96,7 @@ class NdpUnit
      *  (including the executing one). Never exceeds tasksPerQshr. */
     unsigned occupiedSlots(unsigned qshr) const;
 
-    /** Tasks waiting in @p qshr's staging queue for a free slot. */
+    /** Tasks queued on @p qshr beyond its slots, waiting for one. */
     unsigned stagedTasks(unsigned qshr) const;
 
     /** Submissions that found all task slots full and had to stage. */
@@ -120,8 +120,9 @@ class NdpUnit
   private:
     struct QshrState
     {
-        RingDeque<NdpTask> fifo;      //!< architectural slots (<= 8)
-        RingDeque<NdpTask> staged;    //!< backpressured submissions
+        /** In order; the first tasksPerQshr fill the slots, the rest
+         *  are staged. The front one is executing. */
+        RingDeque<NdpTask> tasks;
         bool active = false;
         unsigned linesToIssue = 0;   //!< lines not yet sent to DRAM
         unsigned linesInFlight = 0;  //!< issued, data not yet consumed

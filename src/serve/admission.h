@@ -79,8 +79,7 @@ class AdmissionScheduler
     void release(unsigned slot, std::uint64_t queryId);
 
     std::size_t queueDepth() const { return queue_.size(); }
-    unsigned inFlight() const { return in_flight_; }
-    /** QSHRs occupied right now = inFlight * qshrsPerQuery. */
+    /** QSHRs occupied right now: in-flight queries * qshrsPerQuery. */
     unsigned occupiedQshrs() const { return in_flight_ * cfg_.qshrsPerQuery; }
     /** High-water mark of occupiedQshrs() over the run. */
     unsigned maxOccupiedQshrs() const { return max_occupied_qshrs_; }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "dram/controller.h"
 #include "dram/power.h"
@@ -32,7 +35,24 @@ smallOrg()
     return org;
 }
 
-/** Check every pairwise constraint on a recorded command trace. */
+/** A set under which tFAW, not 4 x tRRD_S, limits a burst of ACTs. The
+ *  default DDR5-4800 set has 4 x tRRD_S = tFAW, so tRRD alone would
+ *  space a fifth ACT correctly there. */
+TimingParams
+wideFaw()
+{
+    TimingParams tp;
+    tp.tFAW = 48;
+    return tp;
+}
+
+/**
+ * Check a recorded command trace against every constraint RankDevice
+ * enforces: per bank tRC, tRP, tRAS, tRCD and tRTP; per rank tRRD_S/L
+ * against the previous ACT, tFAW over the last four ACTs, tCCD_S/L
+ * between consecutive column commands, and no command inside a
+ * refresh's tRFC window.
+ */
 void
 verifyTrace(const std::vector<CommandRecord> &trace, const TimingParams &tp,
             const OrgParams &org)
@@ -45,58 +65,76 @@ verifyTrace(const std::vector<CommandRecord> &trace, const TimingParams &tp,
         bool open = false;
         bool sawAct = false, sawPre = false, sawCol = false;
     };
-    std::map<unsigned, BankView> banks;
-    Tick lastActRank{};
-    bool sawActRank = false;
-    std::vector<Tick> actWindow;
+    std::vector<BankView> banks(org.banksPerRank());
+    std::vector<Tick> refreshes;
+    for (const auto &c : trace)
+        if (c.cmd == Command::kRef)
+            refreshes.push_back(c.tick);
+    std::optional<CommandRecord> lastAct, lastCol;
+    std::deque<Tick> actWindow; // the last four ACTs
 
     for (const auto &c : trace) {
-        if (c.cmd == Command::kRef)
+        if (c.cmd == Command::kRef) {
+            for (BankView &b : banks)
+                b.open = false; // all-bank refresh closes every row
             continue;
-        const unsigned flat = c.bankGroup * org.banksPerGroup + c.bank;
-        BankView &b = banks[flat];
+        }
+        for (const Tick r : refreshes)
+            ASSERT_FALSE(c.tick >= r && c.tick < r + tp.cycles(tp.tRFC))
+                << "command @" << c.tick << " inside the refresh @" << r;
+        BankView &b = banks[c.bankGroup * org.banksPerGroup + c.bank];
         switch (c.cmd) {
           case Command::kAct:
             ASSERT_FALSE(b.open) << "ACT on open bank @" << c.tick;
             if (b.sawAct) {
-                EXPECT_GE(c.tick, b.lastAct + tp.cycles(tp.tRC));
+                ASSERT_GE(c.tick, b.lastAct + tp.cycles(tp.tRC));
             }
             if (b.sawPre) {
-                EXPECT_GE(c.tick, b.lastPre + tp.cycles(tp.tRP));
+                ASSERT_GE(c.tick, b.lastPre + tp.cycles(tp.tRP));
             }
-            if (sawActRank) {
-                EXPECT_GE(c.tick, lastActRank + tp.cycles(tp.tRRD_S));
+            if (lastAct) {
+                const unsigned rrd = c.bankGroup == lastAct->bankGroup
+                                         ? tp.tRRD_L
+                                         : tp.tRRD_S;
+                ASSERT_GE(c.tick, lastAct->tick + tp.cycles(rrd))
+                    << "tRRD @" << c.tick;
+            }
+            if (actWindow.size() == 4) {
+                ASSERT_GE(c.tick, actWindow.front() + tp.cycles(tp.tFAW))
+                    << "tFAW @" << c.tick;
+                actWindow.pop_front();
             }
             actWindow.push_back(c.tick);
-            if (actWindow.size() > 4)
-                actWindow.erase(actWindow.begin());
-            if (actWindow.size() == 4) {
-                EXPECT_GE(c.tick, actWindow.front()); // window recorded
-            }
+            lastAct = c;
             b.lastAct = c.tick;
             b.sawAct = true;
             b.open = true;
-            lastActRank = c.tick;
-            sawActRank = true;
             break;
           case Command::kPre:
             ASSERT_TRUE(b.open);
-            EXPECT_GE(c.tick, b.lastAct + tp.cycles(tp.tRAS));
+            ASSERT_GE(c.tick, b.lastAct + tp.cycles(tp.tRAS));
             if (b.sawCol) {
-                EXPECT_GE(c.tick, b.lastCol + tp.cycles(tp.tRTP));
+                ASSERT_GE(c.tick, b.lastCol + tp.cycles(tp.tRTP));
             }
             b.lastPre = c.tick;
             b.sawPre = true;
             b.open = false;
             break;
           case Command::kRd:
-          case Command::kWr:
             ASSERT_TRUE(b.open) << "column command to closed bank";
-            EXPECT_GE(c.tick, b.lastAct + tp.cycles(tp.tRCD));
+            ASSERT_GE(c.tick, b.lastAct + tp.cycles(tp.tRCD));
+            if (lastCol) {
+                const unsigned ccd = c.bankGroup == lastCol->bankGroup
+                                         ? tp.tCCD_L
+                                         : tp.tCCD_S;
+                ASSERT_GE(c.tick, lastCol->tick + tp.cycles(ccd))
+                    << "tCCD @" << c.tick;
+            }
+            lastCol = c;
             b.lastCol = c.tick;
             b.sawCol = true;
             break;
-          default:
+          case Command::kRef:
             break;
         }
     }
@@ -111,9 +149,9 @@ TEST(RankDevice, ClosedPageReadLatency)
     const Tick act = dev.earliestAct(a, Tick{});
     EXPECT_EQ(act, Tick{});
     dev.issueAct(a, act);
-    const Tick col = dev.earliestCol(a, false, act);
+    const Tick col = dev.earliestCol(a, act);
     EXPECT_EQ(col, act + tp.cycles(tp.tRCD));
-    const Tick done = dev.issueCol(a, false, col);
+    const Tick done = dev.issueCol(a, col);
     EXPECT_EQ(done, col + tp.cycles(tp.tCL + tp.tBL));
 }
 
@@ -138,7 +176,7 @@ TEST(RankDevice, RowConflictNeedsPrecharge)
 
 TEST(RankDevice, FawLimitsActivates)
 {
-    const auto tp = timing();
+    const TimingParams tp = wideFaw();
     RankDevice dev(tp, smallOrg());
     Tick t{};
     // Four ACTs to different bank groups, spaced at tRRD_S.
@@ -147,24 +185,10 @@ TEST(RankDevice, FawLimitsActivates)
         t = dev.earliestAct(a, t);
         dev.issueAct(a, t);
     }
+    EXPECT_EQ(t, Tick{} + tp.cycles(3 * tp.tRRD_S));
+    // The fifth ACT waits for the window that the first one opened.
     BankAddr fifth{4, 0, 1, 0};
-    const Tick e = dev.earliestAct(fifth, t);
-    // The fifth ACT must wait for the FAW window from the first.
-    EXPECT_GE(e, Tick{} + (dev.trace().empty() ? TickDelta{}
-                                               : tp.cycles(tp.tFAW)));
-    EXPECT_GE(e, Tick{} + tp.cycles(tp.tFAW));
-}
-
-TEST(RankDevice, WriteRecoveryGatesRead)
-{
-    const auto tp = timing();
-    RankDevice dev(tp, smallOrg());
-    BankAddr a{0, 0, 1, 0};
-    dev.issueAct(a, Tick{});
-    const Tick wr = dev.earliestCol(a, true, Tick{});
-    const Tick wr_end = dev.issueCol(a, true, wr);
-    const Tick rd = dev.earliestCol(a, false, wr + tp.tCK);
-    EXPECT_GE(rd, wr_end + tp.cycles(tp.tWTR));
+    EXPECT_EQ(dev.earliestAct(fifth, t), Tick{} + tp.cycles(tp.tFAW));
 }
 
 TEST(RankDevice, RefreshBlocksAndCloses)
@@ -226,31 +250,44 @@ TEST(MemController, RowHitsAreFasterThanConflicts)
     EXPECT_LT(hits_span, conf_done[1] - conf_done[0]);
 }
 
-TEST(MemController, TimingTraceIsClean)
+/** 3,000 pseudo-random reads across banks and rows on one rank, long
+ *  enough to span several refreshes, and a check of their trace. */
+void
+checkRandomTrace(const TimingParams &tp)
 {
     sim::EventQueue eq;
-    const auto tp = timing();
     const auto org = smallOrg();
     MemController ctrl(eq, tp, org, 1, "t");
     ctrl.rankDevice(0).enableTrace();
-
-    // A pseudo-random mix of reads and writes across banks and rows.
+    constexpr unsigned kRequests = 3000;
     std::uint64_t state = 12345;
     unsigned completed = 0;
-    for (int i = 0; i < 300; ++i) {
+    for (unsigned i = 0; i < kRequests; ++i) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         Request req;
         req.addr.bankGroup = (state >> 10) % org.bankGroups;
         req.addr.bank = (state >> 20) % org.banksPerGroup;
         req.addr.row = (state >> 30) % 8;
         req.addr.column = (state >> 40) % org.columns;
-        req.isWrite = ((state >> 50) & 3) == 0;
         req.onComplete = [&](Tick) { ++completed; };
         ctrl.enqueue(0, std::move(req));
     }
     eq.run();
-    EXPECT_EQ(completed, 300u);
+    EXPECT_EQ(completed, kRequests);
+    EXPECT_GT(ctrl.rankDevice(0).numRefreshes(), 1u);
     verifyTrace(ctrl.rankDevice(0).trace(), tp, org);
+}
+
+TEST(MemController, TimingTraceIsClean)
+{
+    {
+        SCOPED_TRACE("default DDR5-4800 timing");
+        checkRandomTrace(timing());
+    }
+    {
+        SCOPED_TRACE("tFAW = 48");
+        checkRandomTrace(wideFaw());
+    }
 }
 
 TEST(MemController, MultiRankParallelismBeatsSingleRank)
@@ -341,7 +378,7 @@ TEST(Power, EnergyScalesWithActivity)
 
     BankAddr a{0, 0, 1, 0};
     dev.issueAct(a, Tick{});
-    dev.issueCol(a, false, dev.earliestCol(a, false, Tick{}));
+    dev.issueCol(a, dev.earliestCol(a, Tick{}));
     const auto active = rankEnergy(dev, ep, TickDelta{1000000}, 1);
     EXPECT_GT(active.actPreNj, 0.0);
     EXPECT_GT(active.rdWrCoreNj, 0.0);
@@ -354,7 +391,7 @@ TEST(DeviceInvariants, ColumnToClosedRowPanics)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     RankDevice dev(timing(), smallOrg());
     const BankAddr a{0, 0, 5, 0};
-    EXPECT_DEATH(dev.issueCol(a, false, Tick{100}),
+    EXPECT_DEATH(dev.issueCol(a, Tick{100}),
                  "column command to a closed/incorrect row");
 }
 
@@ -366,8 +403,7 @@ TEST(DeviceInvariants, ColumnToWrongRowPanics)
     dev.issueAct(opened, dev.earliestAct(opened, Tick{}));
     const BankAddr wrong{0, 0, 6, 0};
     EXPECT_DEATH(
-        dev.issueCol(wrong, false,
-                     dev.earliestCol(wrong, false, Tick{1000000})),
+        dev.issueCol(wrong, dev.earliestCol(wrong, Tick{1000000})),
         "closed/incorrect row");
 }
 

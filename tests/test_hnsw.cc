@@ -422,7 +422,7 @@ TEST(HnswConcurrency, InterleavedSearchesOverTwoIndexesMatchSerial)
     for (std::size_t i = 0; i < items; ++i)
         serial[i] = searchItem(i);
 
-    runtime::Runtime lanes(runtime::CoreSet::identity(4));
+    runtime::Runtime lanes(4);
     for (int round = 0; round < 4; ++round) {
         std::vector<std::vector<VectorId>> parallel(items);
         lanes.parallelFor(

@@ -38,7 +38,7 @@ template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    runtime::Runtime sandbox(runtime::CoreSet::identity(1));
+    runtime::Runtime sandbox(1);
     std::optional<decltype(fn())> out;
     sandbox.parallelFor(0, 1,
                         [&](std::size_t, std::size_t) { out.emplace(fn()); });

@@ -217,7 +217,6 @@ TEST(LoadTracker, ImbalanceRatio)
     EXPECT_DOUBLE_EQ(lt.imbalanceRatio(), 1.0);
     lt.add(0, 100);
     EXPECT_DOUBLE_EQ(lt.imbalanceRatio(), 200.0 / 125.0);
-    EXPECT_EQ(lt.leastLoaded({0, 1, 2}), 1u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Runtime tests: CoreSet parsing and configuration, the one-lane inline
- * path, parked workers waking for trickled calls, the nesting rule
- * across runtimes, result identity across lane counts, and parallelFor
- * used as a plain worker pool (range coverage, nesting, exceptions,
+ * Runtime tests: the configured lane count, the one-lane inline path,
+ * parked workers waking for trickled calls, the nesting rule across
+ * runtimes, result identity across lane counts, and parallelFor used
+ * as a plain worker pool (range coverage, nesting, exceptions,
  * repeated rounds). The tsan job runs them under -fsanitize=thread.
  */
 
@@ -19,55 +19,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/runtime/core_set.h"
 #include "common/runtime/runtime.h"
 
 namespace ansmet::runtime {
 namespace {
-
-// --------------------------------------------------------------------
-// CoreSet
-// --------------------------------------------------------------------
-
-TEST(CoreSet, ParsesListsRangesAndDuplicates)
-{
-    const CoreSet cs = CoreSet::parse("0,2,4-6");
-    ASSERT_EQ(cs.size(), 5u);
-    const unsigned want[] = {0, 2, 4, 5, 6};
-    for (unsigned i = 0; i < cs.size(); ++i)
-        EXPECT_EQ(cs[i], want[i]);
-    EXPECT_TRUE(cs.pinned());
-
-    const CoreSet down = CoreSet::parse("6-4");
-    ASSERT_EQ(down.size(), 3u);
-    EXPECT_EQ(down[0], 6u);
-    EXPECT_EQ(down[2], 4u);
-
-    // Duplicates keep their first position.
-    const CoreSet dup = CoreSet::parse("3,1,3,1-2");
-    ASSERT_EQ(dup.size(), 3u);
-    EXPECT_EQ(dup[0], 3u);
-    EXPECT_EQ(dup[1], 1u);
-    EXPECT_EQ(dup[2], 2u);
-}
-
-TEST(CoreSet, RejectsJunkAsEmpty)
-{
-    EXPECT_EQ(CoreSet::parse("banana").size(), 0u);
-    EXPECT_EQ(CoreSet::parse("1,x").size(), 0u);
-    EXPECT_EQ(CoreSet::parse("-3").size(), 0u);
-    EXPECT_EQ(CoreSet::parse(nullptr).size(), 0u);
-    EXPECT_FALSE(CoreSet::parse("junk").pinned());
-}
-
-TEST(CoreSet, IdentityIsUnpinned)
-{
-    const CoreSet cs = CoreSet::identity(4);
-    ASSERT_EQ(cs.size(), 4u);
-    EXPECT_FALSE(cs.pinned());
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(cs[i], i);
-}
 
 // --------------------------------------------------------------------
 // Runtime: inline path, parking, nesting across runtimes
@@ -75,7 +30,7 @@ TEST(CoreSet, IdentityIsUnpinned)
 
 TEST(Runtime, OneLaneRuntimeRunsEverythingInlineOnTheCaller)
 {
-    Runtime rt(CoreSet::identity(1));
+    Runtime rt(1);
     EXPECT_EQ(rt.lanes(), 1u);
     const std::thread::id self = std::this_thread::get_id();
     std::vector<unsigned> hits(100, 0);
@@ -92,7 +47,7 @@ TEST(Runtime, ParkedWorkersWakeForTrickledWork)
 {
     // Small calls with gaps long enough for the workers to park: every
     // call must wake them (a lost wakeup hangs this test).
-    Runtime rt(CoreSet::identity(3));
+    Runtime rt(3);
     std::atomic<unsigned> ran{0};
     for (unsigned t = 0; t < 50; ++t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -112,7 +67,7 @@ TEST(Runtime, BodyOfAnyRuntimeRunsNestedGlobalCallsInline)
     // The contract the tests' runSerial sandbox relies on: inside the
     // body of a one-lane private runtime's parallelFor, a call on the
     // global runtime runs as one inline call.
-    Runtime sandbox(CoreSet::identity(1));
+    Runtime sandbox(1);
     const std::thread::id self = std::this_thread::get_id();
     unsigned calls = 0;
     sandbox.parallelFor(0, 1, [&](std::size_t, std::size_t) {
@@ -135,7 +90,7 @@ TEST(Runtime, BodyOfAnyRuntimeRunsNestedGlobalCallsInline)
 std::uint64_t
 checksumWithLanes(unsigned lanes)
 {
-    Runtime rt(CoreSet::identity(lanes));
+    Runtime rt(lanes);
     constexpr std::size_t kN = 4096;
     std::vector<std::uint64_t> slot(kN, 0);
     rt.parallelFor(0, kN, [&](std::size_t lo, std::size_t hi) {
@@ -174,7 +129,7 @@ TEST(Runtime, ResultsAreIdenticalAcrossLaneCounts)
 
 TEST(Runtime, ParallelForCoversEveryIndexExactlyOnce)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     constexpr std::size_t kN = 10000;
     std::vector<std::atomic<unsigned>> hits(kN);
     rt.parallelFor(
@@ -190,7 +145,7 @@ TEST(Runtime, ParallelForCoversEveryIndexExactlyOnce)
 
 TEST(Runtime, NestedParallelForRunsInline)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     std::atomic<unsigned> outer{0};
     std::atomic<unsigned> inner{0};
     rt.parallelFor(0, 8, [&](std::size_t lo, std::size_t hi) {
@@ -210,7 +165,7 @@ TEST(Runtime, NestedParallelForRunsInline)
 
 TEST(Runtime, ParallelForPropagatesFirstException)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     std::atomic<unsigned> ran{0};
     EXPECT_THROW(
         rt.parallelFor(0, 1000,
@@ -233,7 +188,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
     // Every pool size from the inline one-lane path up.
     for (unsigned lanes = 1; lanes <= 4; ++lanes) {
-        Runtime rt(CoreSet::identity(lanes));
+        Runtime rt(lanes);
         constexpr std::size_t kN = 10000;
         std::vector<std::atomic<unsigned>> hits(kN);
         rt.parallelFor(
@@ -251,7 +206,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 
 TEST(ThreadPool, ParallelForHonorsNonZeroBegin)
 {
-    Runtime rt(CoreSet::identity(3));
+    Runtime rt(3);
     std::atomic<std::size_t> sum{0};
     rt.parallelFor(100, 200, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
@@ -262,7 +217,7 @@ TEST(ThreadPool, ParallelForHonorsNonZeroBegin)
 
 TEST(ThreadPool, EmptyRangeNeverInvokesBody)
 {
-    Runtime rt(CoreSet::identity(2));
+    Runtime rt(2);
     bool called = false;
     rt.parallelFor(5, 5, [&](std::size_t, std::size_t) { called = true; });
     rt.parallelFor(7, 3, [&](std::size_t, std::size_t) { called = true; });
@@ -271,7 +226,7 @@ TEST(ThreadPool, EmptyRangeNeverInvokesBody)
 
 TEST(ThreadPool, ParallelForPropagatesFirstExceptionAndCompletes)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     constexpr std::size_t kN = 512;
     std::vector<std::atomic<unsigned>> hits(kN);
     EXPECT_THROW(rt.parallelFor(
@@ -291,7 +246,7 @@ TEST(ThreadPool, ParallelForPropagatesFirstExceptionAndCompletes)
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     constexpr std::size_t kOuter = 64;
     constexpr std::size_t kInner = 100;
     std::vector<std::size_t> sums(kOuter, 0);
@@ -312,7 +267,7 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
 
 TEST(ThreadPool, SingleThreadPoolRunsInlineInOneCall)
 {
-    Runtime rt(CoreSet::identity(1));
+    Runtime rt(1);
     EXPECT_EQ(rt.lanes(), 1u);
     const std::thread::id self = std::this_thread::get_id();
     unsigned calls = 0;
@@ -329,29 +284,12 @@ TEST(ThreadPool, ConfiguredThreadsReadsEnv)
 {
     const char *saved = std::getenv("ANSMET_THREADS");
     const std::string saved_val = saved ? saved : "";
-    const char *saved_cores = std::getenv("ANSMET_CORES");
-    const std::string saved_cores_val = saved_cores ? saved_cores : "";
-    ::unsetenv("ANSMET_CORES");
 
     ::setenv("ANSMET_THREADS", "3", 1);
-    EXPECT_EQ(CoreSet::configuredLanes(), 3u);
-
-    // A spec naming cores the machine does not have falls back to the
-    // unpinned identity set; an existing core pins its one lane.
-    ::setenv("ANSMET_CORES", "0-100000", 1);
-    const CoreSet fallback = CoreSet::configured();
-    EXPECT_EQ(fallback.size(), CoreSet::configuredLanes());
-    EXPECT_FALSE(fallback.pinned());
-    for (unsigned i = 0; i < fallback.size(); ++i)
-        EXPECT_EQ(fallback[i], i);
-    ::setenv("ANSMET_CORES", "0", 1);
-    const CoreSet pinned = CoreSet::configured();
-    EXPECT_EQ(pinned.size(), 1u);
-    EXPECT_TRUE(pinned.pinned());
-    ::unsetenv("ANSMET_CORES");
+    EXPECT_EQ(configuredLanes(), 3u);
 
     ::setenv("ANSMET_THREADS", "1", 1);
-    EXPECT_EQ(CoreSet::configuredLanes(), 1u);
+    EXPECT_EQ(configuredLanes(), 1u);
 
     // ANSMET_THREADS=1 must build a default runtime with zero workers.
     {
@@ -363,8 +301,6 @@ TEST(ThreadPool, ConfiguredThreadsReadsEnv)
         ::setenv("ANSMET_THREADS", saved_val.c_str(), 1);
     else
         ::unsetenv("ANSMET_THREADS");
-    if (saved_cores)
-        ::setenv("ANSMET_CORES", saved_cores_val.c_str(), 1);
 }
 
 TEST(ThreadPool, ManySequentialParallelFors)
@@ -372,7 +308,7 @@ TEST(ThreadPool, ManySequentialParallelFors)
     // Regression guard for job publication/unpublication races: the
     // same runtime must survive many back-to-back loops with results
     // identical to serial accumulation.
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     std::size_t total = 0;
     for (unsigned round = 0; round < 200; ++round) {
         std::atomic<std::size_t> sum{0};
@@ -396,7 +332,7 @@ TEST(ThreadPool, ManySequentialParallelFors)
 
 TEST(ThreadPoolStress, NestedParallelForRunsEveryIteration)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     constexpr std::size_t kOuter = 64;
     constexpr std::size_t kInner = 64;
     std::vector<std::atomic<int>> hits(kOuter * kInner);
@@ -424,7 +360,7 @@ TEST(ThreadPoolStress, NestedParallelForRunsEveryIteration)
 
 TEST(ThreadPoolStress, ExceptionFromManyChunksPropagatesOnce)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     for (int round = 0; round < 50; ++round) {
         std::atomic<std::size_t> ran{0};
         bool threw = false;
@@ -449,7 +385,7 @@ TEST(ThreadPoolStress, ExceptionFromManyChunksPropagatesOnce)
 
 TEST(ThreadPoolStress, SequentialParallelForsStayDeterministic)
 {
-    Runtime rt(CoreSet::identity(4));
+    Runtime rt(4);
     std::vector<std::size_t> out(4096);
     for (int round = 0; round < 20; ++round) {
         rt.parallelFor(0, out.size(), [&](std::size_t lo, std::size_t hi) {

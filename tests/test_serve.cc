@@ -44,7 +44,7 @@ template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    runtime::Runtime sandbox(runtime::CoreSet::identity(1));
+    runtime::Runtime sandbox(1);
     std::optional<decltype(fn())> out;
     sandbox.parallelFor(0, 1,
                         [&](std::size_t, std::size_t) { out.emplace(fn()); });
@@ -454,8 +454,8 @@ TEST(Serve, LatencySamplesIndependentOfThreadConfig)
     // forcing the on-the-fly reference path (prefetchReplay=false, the
     // ANSMET_THREADS=1 equivalent) must not move one sample. Together
     // with the sandboxed generateArrivals test this is the
-    // "bitwise-identical across ANSMET_THREADS/ANSMET_CORES" contract:
-    // thread/core counts only ever reach those two mechanisms.
+    // "bitwise-identical across ANSMET_THREADS" contract: the lane
+    // count only ever reaches those two mechanisms.
     const auto pooled = runServe(200000.0, /*prefetch=*/true);
     const auto serial = runServe(200000.0, /*prefetch=*/false);
     expectBitwiseEqual(pooled, serial);

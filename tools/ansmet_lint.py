@@ -34,9 +34,9 @@ neither the compiler nor clang-tidy checks:
                            Likewise no direct std::thread / std::jthread
                            / std::async outside src/common/runtime/ —
                            parallel work goes through
-                           runtime::parallelFor, so worker count and
-                           core affinity stay centralized
-                           (std::this_thread is fine).
+                           runtime::parallelFor, so the worker count
+                           stays centralized (std::this_thread is
+                           fine).
   R5  ansmet-eventcapture  No std::function inside the arguments of a
                            schedule()/scheduleIn() call in the
                            simulator-hot directories (src/sim, src/ndp,
@@ -143,8 +143,8 @@ LOCK_DIRS = ("src/common/runtime", "src/obs")
 
 # R4 (thread-spawn half): raw std::thread / std::jthread / std::async
 # outside the runtime. Centralizing thread creation in
-# runtime::parallelFor is what keeps worker count, core affinity and
-# the nested-inline rule coherent.
+# runtime::parallelFor is what keeps the worker count and the
+# nested-inline rule coherent.
 # (`std::this_thread` lexes as the single identifier `this_thread` and
 # is deliberately not banned — yield/sleep_for are fine anywhere.)
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
@@ -559,8 +559,8 @@ def check_raw_sync(path, tokens, waived, findings):
             else:
                 message = (f"raw std::{name}: run parallel work through "
                            f"runtime::parallelFor (common/runtime/"
-                           f"runtime.h) so worker count and core affinity "
-                           f"stay centralized")
+                           f"runtime.h) so the worker count stays "
+                           f"centralized")
         else:
             continue
         if not is_waived(waived, RULES["R4"], tok.line):
